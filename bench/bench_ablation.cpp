@@ -168,8 +168,13 @@ void bench_clique_pack(benchmark::State& state) {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_ablation [--n N] [google-benchmark flags]\n"
+    "Ablations of SpanT_Euler design choices (tree policy, branch\n"
+    "attachment, refine).\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   const auto n = static_cast<NodeId>(args.get_int("n", 36));
   std::cout << "== Ablations ==\n\n";
   ablate_tree_policy(n);

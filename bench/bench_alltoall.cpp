@@ -60,8 +60,12 @@ void bench_k16(benchmark::State& state, AlgorithmId id) {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_alltoall [--k K] [google-benchmark flags]\n"
+    "SADM counts on all-to-all traffic.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   print_all_to_all(args);
   benchmark::RegisterBenchmark("alltoall/SpanT_Euler_K16",
                                [](benchmark::State& s) {

@@ -112,8 +112,12 @@ void bench_bound_eval(benchmark::State& state) {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_bounds [--n N] [--seeds S] [google-benchmark flags]\n"
+    "Worst-case SADM bounds of the paper, as a table.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   print_bounds(args);
   benchmark::RegisterBenchmark("bounds/regular_euler_n36_r15_k16",
                                bench_bound_eval);

@@ -76,8 +76,15 @@ bool write_json(const std::string& path, const TrafficConfig& traffic,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_churn [--events N] [--holding T] [--k K] [--load L] "
+    "[--max-wavelengths W] [--ring N] [--rate R] [--seed S] [--warmup N] "
+    "[--min-time S] [--out FILE]\n"
+    "Dynamic-traffic event rate with and without local repair; writes a\n"
+    "JSON report.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   TrafficConfig traffic;
   traffic.model = TrafficModel::kPoisson;
   traffic.ring_size = static_cast<NodeId>(args.get_int("ring", 16));

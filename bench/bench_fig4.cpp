@@ -62,8 +62,13 @@ void register_timings() {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_fig4 [--n N] [--k K,...] [--seeds S] [--workers W] "
+    "[google-benchmark flags]\n"
+    "Figure 4: SADMs vs k on random graphs (n = 36).\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   print_fig4(args);
   register_timings();
   benchmark::Initialize(&argc, argv);

@@ -63,8 +63,13 @@ void register_timings() {
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_fig5 [--n N] [--k K,...] [--seeds S] [--workers W] "
+    "[google-benchmark flags]\n"
+    "Figure 5: SADMs vs k on r-regular graphs (n = 36).\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   print_fig5(args);
   register_timings();
   benchmark::Initialize(&argc, argv);

@@ -203,8 +203,14 @@ Measurement run_stream(const fs::path& base, long long records,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_replication [--records N] [--batch B] [--dir D]\n"
+    "                         [--json FILE]\n"
+    "Replica apply rate against a primary at fsync=batch; writes a JSON\n"
+    "report.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   const long long records = args.get_int("records", 5000);
   const long long batch = args.get_int("batch", 512);
   const std::string json_path = args.get("json", "BENCH_replication.json");

@@ -126,8 +126,14 @@ bool write_json(const std::string& path, int k,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_scale [--n-list N,...] [--k K] [--seed S] [--workers W] "
+    "[--warmup N] [--min-time S] [--out FILE]\n"
+    "One SpanT_Euler run at n up to 10^6: runtime, phases, arena peak;\n"
+    "writes a JSON report.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   std::vector<int> n_list =
       args.get_int_list("n-list", {10000, 100000, 1000000});
   const int k = static_cast<int>(args.get_int("k", 16));

@@ -283,8 +283,14 @@ double run_once(const std::string& stream, std::size_t workers,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_service [--n N] [--k K] [--graphs G] [--requests R] "
+    "[--connections C] [--pipeline P] [--workers W,...] [--warmup N] "
+    "[--min-time S] [--json FILE]\n"
+    "NDJSON daemon requests/s across worker counts; writes a JSON report.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   const int requests = static_cast<int>(args.get_int("requests", 2000));
   const auto n = static_cast<NodeId>(args.get_int("n", 24));
   const int k = static_cast<int>(args.get_int("k", 8));

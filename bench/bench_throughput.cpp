@@ -60,8 +60,14 @@ bool write_json(const std::string& path, NodeId n, double dense, int k,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_throughput [--instances N] [--n N] [--dense D] [--k K] "
+    "[--base-seed S] [--workers W,...] [--warmup N] [--min-time S] [--out "
+    "FILE]\n"
+    "Batch-grooming instances/s across worker counts; writes a JSON report.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   const auto instances = static_cast<std::size_t>(args.get_int("instances", 192));
   const auto n = static_cast<NodeId>(args.get_int("n", 64));
   const double dense = args.get_double("dense", 0.5);

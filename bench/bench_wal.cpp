@@ -98,8 +98,13 @@ Measurement run_mode(const fs::path& base, FsyncPolicy policy, int threads,
 
 }  // namespace
 
+constexpr const char* kUsage =
+    "usage: bench_wal [--records N] [--always-records N] [--threads T] "
+    "[--dir D] [--json FILE]\n"
+    "WAL appends/s across fsync policies; writes a JSON report.\n";
+
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
+  CliArgs args(argc, argv, kUsage);
   const long long records = args.get_int("records", 20000);
   // One fsync per record is the pathological case; keep it affordable.
   const long long always_records =

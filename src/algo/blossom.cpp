@@ -13,13 +13,6 @@ class BlossomSolver {
  public:
   explicit BlossomSolver(const Graph& g)
       : g_(g), n_(static_cast<std::size_t>(g.node_count())) {
-    adj_.resize(n_);
-    for (const Edge& e : g.edges()) {
-      if (e.is_virtual) continue;
-      if (e.u == e.v) continue;
-      adj_[static_cast<std::size_t>(e.u)].push_back(e.v);
-      adj_[static_cast<std::size_t>(e.v)].push_back(e.u);
-    }
     match_.assign(n_, kInvalidNode);
   }
 
@@ -27,7 +20,9 @@ class BlossomSolver {
     // Greedy warm start halves the number of augmenting phases.
     for (NodeId v = 0; v < g_.node_count(); ++v) {
       if (match_[static_cast<std::size_t>(v)] != kInvalidNode) continue;
-      for (NodeId to : adj_[static_cast<std::size_t>(v)]) {
+      for (const Incidence& inc : g_.incident(v)) {
+        if (g_.edge(inc.edge).is_virtual) continue;
+        const NodeId to = inc.neighbor;
         if (match_[static_cast<std::size_t>(to)] == kInvalidNode) {
           match_[static_cast<std::size_t>(v)] = to;
           match_[static_cast<std::size_t>(to)] = v;
@@ -96,7 +91,9 @@ class BlossomSolver {
     while (!q.empty()) {
       NodeId v = q.front();
       q.pop();
-      for (NodeId to : adj_[static_cast<std::size_t>(v)]) {
+      for (const Incidence& inc : g_.incident(v)) {
+        if (g_.edge(inc.edge).is_virtual) continue;
+        const NodeId to = inc.neighbor;
         if (base_[static_cast<std::size_t>(v)] ==
                 base_[static_cast<std::size_t>(to)] ||
             match_[static_cast<std::size_t>(v)] == to) {
@@ -133,9 +130,11 @@ class BlossomSolver {
     return kInvalidNode;
   }
 
+  // Neighbours are read straight from g_'s incidence lists, skipping
+  // virtual edges: the same per-node order (ascending edge id) a copied
+  // adjacency list would have, without its per-node allocations.
   const Graph& g_;
   std::size_t n_;
-  std::vector<std::vector<NodeId>> adj_;
   std::vector<NodeId> match_, parent_, base_;
   std::vector<char> in_forest_, in_blossom_;
 };

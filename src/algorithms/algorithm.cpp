@@ -61,11 +61,24 @@ std::vector<AlgorithmId> all_algorithms() {
           AlgorithmId::kRegularEuler, AlgorithmId::kCliquePack};
 }
 
-void check_algorithm_input(const Graph& traffic_graph, int k) {
+namespace {
+
+template <typename G>
+void check_input_impl(const G& traffic_graph, int k) {
   TGROOM_CHECK_MSG(k >= 1, "grooming factor must be >= 1");
   TGROOM_CHECK_MSG(
       traffic_graph.real_edge_count() == traffic_graph.edge_count(),
       "traffic graphs must not contain virtual edges");
+}
+
+}  // namespace
+
+void check_algorithm_input(const Graph& traffic_graph, int k) {
+  check_input_impl(traffic_graph, k);
+}
+
+void check_algorithm_input(const CsrGraph& traffic_graph, int k) {
+  check_input_impl(traffic_graph, k);
 }
 
 EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
@@ -108,6 +121,15 @@ EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
   }
   if (options.refine) refine_partition(traffic_graph, partition);
   return partition;
+}
+
+EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
+                            int k, const GroomingOptions& options,
+                            GroomingWorkspace* workspace) {
+  if (id == AlgorithmId::kSpanTEuler && !options.refine) {
+    return spant_euler(traffic_graph, k, options, nullptr, workspace);
+  }
+  return run_algorithm(id, traffic_graph.to_graph(), k, options, workspace);
 }
 
 std::vector<AlgorithmId> figure4_algorithms() {

@@ -73,6 +73,14 @@ EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
                             const GroomingOptions& options,
                             GroomingWorkspace* workspace, ThreadPool* pool);
 
+/// Same, on a CSR snapshot (the service's parsed request).  SpanT_Euler
+/// without refine walks `traffic_graph` in place; every other algorithm,
+/// and the refine pass, runs on the Graph that CsrGraph::to_graph() builds.
+/// Output is identical to the Graph overloads on the same edge list.
+EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
+                            int k, const GroomingOptions& options,
+                            GroomingWorkspace* workspace);
+
 /// The four algorithms of the paper's Figure 4 comparison, in its order.
 std::vector<AlgorithmId> figure4_algorithms();
 
@@ -81,5 +89,6 @@ std::vector<AlgorithmId> figure5_algorithms();
 
 /// Guards shared by all algorithm entry points.
 void check_algorithm_input(const Graph& traffic_graph, int k);
+void check_algorithm_input(const CsrGraph& traffic_graph, int k);
 
 }  // namespace tgroom

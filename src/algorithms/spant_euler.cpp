@@ -18,17 +18,17 @@ namespace tgroom {
 
 namespace {
 
-// Steps 1-4 of the pipeline on the workspace's CURRENT CSR snapshot
-// (whole graph, or one rank-renumbered component in the parallel driver):
+// Steps 1-4 of the pipeline on `csr` (the whole graph, or one
+// rank-renumbered component in the parallel driver), with the scratch
+// that ws.prepare_for(csr) readied:
 // spanning forest, Lemma 4 parity, G'' Euler decomposition, branch
 // attachment.  The returned cover lives on ws.arena in the canonical
 // sequential order: Euler-walk skeletons first, emitted in ascending order
 // of the minimum node id of their masked G'' component, then singleton
 // skeletons in ascending order of the branch edge that created them.  The
 // parallel merge in spant_euler_parallel relies on exactly that order.
-ArenaSkeletonCover build_cover(GroomingWorkspace& ws,
+ArenaSkeletonCover build_cover(const CsrGraph& csr, GroomingWorkspace& ws,
                                const GroomingOptions& options) {
-  const CsrGraph& csr = ws.csr;
   MonotonicArena& arena = ws.arena;
 
   Rng rng(options.seed);
@@ -128,19 +128,29 @@ EdgePartition spant_euler(const Graph& g, int k,
                           const GroomingOptions& options,
                           SpanTEulerTrace* trace,
                           GroomingWorkspace* workspace) {
+  GroomingWorkspace local;
+  GroomingWorkspace& ws = workspace ? *workspace : local;
+  ws.csr.rebuild(g);
+  return spant_euler(ws.csr, k, options, trace, &ws);
+}
+
+EdgePartition spant_euler(const CsrGraph& g, int k,
+                          const GroomingOptions& options,
+                          SpanTEulerTrace* trace,
+                          GroomingWorkspace* workspace) {
   check_algorithm_input(g, k);
 
   GroomingWorkspace local;
   GroomingWorkspace& ws = workspace ? *workspace : local;
-  ws.prepare(g);
+  ws.prepare_for(g);
 
-  ArenaSkeletonCover cover = build_cover(ws, options);
+  ArenaSkeletonCover cover = build_cover(g, ws, options);
 
   if (trace) {
     trace->tree = ws.tree;
     trace->e_odd = ws.e_odd;
     trace->g2_component_count =
-        connected_components_masked(ws.csr, ws.cotree).count;
+        connected_components_masked(g, ws.cotree).count;
     trace->cover_size = cover.size();
     trace->cover.clear();
     if (trace->want_cover) {
@@ -187,11 +197,10 @@ void run_component_chunk(const CsrGraph& csr, const ComponentSplit& split,
     auto comp_nodes = split.component_nodes(c);
     auto comp_edges = split.component_edges(c);
     if (comp_edges.empty()) continue;  // isolated nodes cover no edges
-    chunk.ws.reset();
     chunk.ws.csr.rebuild_subgraph(csr, comp_nodes, comp_edges,
                                   split.local_node);
-    chunk.ws.prepare_for_csr();
-    ArenaSkeletonCover cover = build_cover(chunk.ws, options);
+    chunk.ws.prepare_for(chunk.ws.csr);
+    ArenaSkeletonCover cover = build_cover(chunk.ws.csr, chunk.ws, options);
     for (const ArenaSkeleton& s : cover) {
       MergeSeq seq;
       seq.edges = ArenaVector<EdgeId>(
@@ -243,8 +252,8 @@ EdgePartition spant_euler_parallel(const Graph& g, int k,
   Components comp;
   connected_components(csr, comp, &ws.arena);
   if (comp.count <= 1) {
-    ArenaSkeletonCover cover = build_cover(ws, options);
-    return partition_from_cover(g, cover, k, ws.arena);
+    ArenaSkeletonCover cover = build_cover(csr, ws, options);
+    return partition_from_cover(csr, cover, k, ws.arena);
   }
 
   const ComponentSplit split = split_components(csr, comp);

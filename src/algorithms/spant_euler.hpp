@@ -42,6 +42,13 @@ EdgePartition spant_euler(const Graph& g, int k,
                           SpanTEulerTrace* trace = nullptr,
                           GroomingWorkspace* workspace = nullptr);
 
+/// Same, on a CSR snapshot the caller already holds (the service's parsed
+/// request): walked in place, never copied into the workspace.
+EdgePartition spant_euler(const CsrGraph& g, int k,
+                          const GroomingOptions& options = {},
+                          SpanTEulerTrace* trace = nullptr,
+                          GroomingWorkspace* workspace = nullptr);
+
 /// Per-component parallel SpanT_Euler: splits g into connected components,
 /// runs the sequential pipeline on each (rank-renumbered local subgraph,
 /// chunks fanned out over `pool`), and merges the per-component skeleton

@@ -3,14 +3,14 @@
 namespace tgroom {
 
 void GroomingWorkspace::prepare(const Graph& g) {
-  reset();
   csr.rebuild(g);
-  prepare_for_csr();
+  prepare_for(csr);
 }
 
-void GroomingWorkspace::prepare_for_csr() {
-  const auto n = static_cast<std::size_t>(csr.node_count());
-  const auto m = static_cast<std::size_t>(csr.edge_count());
+void GroomingWorkspace::prepare_for(const CsrGraph& g) {
+  reset();
+  const auto n = static_cast<std::size_t>(g.node_count());
+  const auto m = static_cast<std::size_t>(g.edge_count());
   in_tree.assign(m, 0);
   cotree.assign(m, 0);
   g2_mask.assign(m, 0);

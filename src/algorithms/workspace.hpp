@@ -43,7 +43,10 @@ struct GroomingWorkspace {
     std::size_t position = 0;
   };
 
-  CsrGraph csr;  // flat traversal snapshot of the input graph
+  // Flat traversal snapshot of a Graph input (prepare) or of one
+  // component (the parallel driver).  A CsrGraph input is walked in place
+  // and never copied here.
+  CsrGraph csr;
 
   // Edge-indexed scratch.
   std::vector<char> in_tree;
@@ -68,14 +71,13 @@ struct GroomingWorkspace {
   // lists).  Rewound by prepare()/reset(); blocks retained.
   MonotonicArena arena;
 
-  /// Re-snapshots `g` into `csr`, sizes-and-clears every buffer, and
-  /// rewinds the arena.
+  /// Re-snapshots `g` into `csr`, then prepare_for(csr).
   void prepare(const Graph& g);
 
-  /// Sizes-and-clears every buffer from the CURRENT `csr` contents without
-  /// re-snapshotting.  The per-component parallel driver fills `csr` via
-  /// CsrGraph::rebuild_subgraph and then calls this to ready the scratch.
-  void prepare_for_csr();
+  /// Sizes-and-clears every buffer for a run on `g` and rewinds the arena,
+  /// without copying `g`: the run walks `g` itself, which may be `csr` or
+  /// a snapshot the caller owns.
+  void prepare_for(const CsrGraph& g);
 
   /// Rewinds the arena and clears per-run result buffers without touching
   /// the CSR snapshot (the service calls this between requests; the next

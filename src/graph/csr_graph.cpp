@@ -1,26 +1,39 @@
 #include "graph/csr_graph.hpp"
 
+#include <utility>
+
 namespace tgroom {
 
 void CsrGraph::rebuild_index() {
   const auto n = static_cast<std::size_t>(node_count_);
+  const auto m = edges_.size();
+  const Edge* const edge = edges_.data();
 
+  // Counting sort by endpoint, with offsets_[v + 1] doubling as v's fill
+  // cursor: it first counts the degree of v - 1 (node x lands in slot
+  // x + 2), so after the prefix sum offsets_[v + 1] is v's start, and
+  // filling advances it to v's end, which is v + 1's start.
   offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++offsets_[static_cast<std::size_t>(e.u) + 1];
-    ++offsets_[static_cast<std::size_t>(e.v) + 1];
+  EdgeId* const cursor = offsets_.data() + 1;
+  for (std::size_t id = 0; id < m; ++id) {
+    const auto u = static_cast<std::size_t>(edge[id].u);
+    const auto v = static_cast<std::size_t>(edge[id].v);
+    if (u + 1 < n) ++cursor[u + 1];
+    if (v + 1 < n) ++cursor[v + 1];
   }
-  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
+  for (std::size_t v = 1; v < n; ++v) cursor[v] += cursor[v - 1];
 
-  incidences_.resize(2 * edges_.size());
-  fill_cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  incidences_.resize(2 * m);
+  Incidence* const out = incidences_.data();
   // Filling in edge-id order reproduces Graph's per-node adjacency order.
-  for (EdgeId id = 0; id < edge_count(); ++id) {
-    const Edge& e = edges_[static_cast<std::size_t>(id)];
-    incidences_[static_cast<std::size_t>(
-        fill_cursor_[static_cast<std::size_t>(e.u)]++)] = Incidence{e.v, id};
-    incidences_[static_cast<std::size_t>(
-        fill_cursor_[static_cast<std::size_t>(e.v)]++)] = Incidence{e.u, id};
+  for (std::size_t id = 0; id < m; ++id) {
+    const Edge e = edge[id];
+    const auto u = static_cast<std::size_t>(e.u);
+    const auto v = static_cast<std::size_t>(e.v);
+    out[static_cast<std::size_t>(cursor[u]++)] =
+        Incidence{e.v, static_cast<EdgeId>(id)};
+    out[static_cast<std::size_t>(cursor[v]++)] =
+        Incidence{e.u, static_cast<EdgeId>(id)};
   }
 }
 
@@ -29,6 +42,39 @@ void CsrGraph::rebuild(const Graph& g) {
   real_edges_ = g.real_edge_count();
   edges_.assign(g.edges().begin(), g.edges().end());
   rebuild_index();
+}
+
+void CsrGraph::assign(NodeId node_count, std::vector<Edge> edges) {
+  TGROOM_CHECK(node_count >= 0);
+  TGROOM_CHECK_MSG(edges.size() <= static_cast<std::size_t>(kMaxEdgeCount),
+                   "edge count would exceed kMaxEdgeCount");
+  real_edges_ = 0;
+  for (const Edge& e : edges) {
+    TGROOM_CHECK_MSG(e.u >= 0 && e.u < node_count && e.v >= 0 &&
+                         e.v < node_count,
+                     "edge endpoint out of range");
+    TGROOM_CHECK_MSG(e.u != e.v, "self-loops are not allowed");
+    if (!e.is_virtual) ++real_edges_;
+  }
+  node_count_ = node_count;
+  edges_ = std::move(edges);
+  rebuild_index();
+}
+
+Graph CsrGraph::to_graph() const {
+  Graph g(node_count_);
+  g.reserve_edges(edge_count());
+  for (NodeId v = 0; v < node_count_; ++v) g.reserve_degree(v, degree(v));
+  for (const Edge& e : edges_) g.add_edge(e.u, e.v, e.is_virtual);
+  return g;
+}
+
+NodeId CsrGraph::real_degree(NodeId v) const {
+  NodeId d = 0;
+  for (const Incidence& inc : incident(v)) {
+    if (!edge(inc.edge).is_virtual) ++d;
+  }
+  return d;
 }
 
 void CsrGraph::rebuild_subgraph(const CsrGraph& parent,

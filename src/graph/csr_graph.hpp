@@ -1,4 +1,6 @@
 // Flat, immutable CSR snapshot of a Graph for the traversal hot path.
+// The service builds one straight from a request's edge list (assign()),
+// so a groom request never materializes the adjacency-list Graph.
 //
 // Graph stores adjacency as vector<vector<Incidence>>, which is convenient
 // while edges are being added but pointer-chasing to traverse: every
@@ -30,6 +32,18 @@ class CsrGraph {
 
   /// Re-snapshots `g`, reusing existing capacity.
   void rebuild(const Graph& g);
+
+  /// Builds the snapshot straight from an edge list by counting sort:
+  /// edge ids are list positions.  Equals CsrGraph(g) for the Graph `g`
+  /// that adds the same edges in the same order — same edge table, same
+  /// per-node incidence order, same graph_fingerprint.  Throws CheckError
+  /// on endpoints out of range, self-loops or more than kMaxEdgeCount
+  /// edges.
+  void assign(NodeId node_count, std::vector<Edge> edges);
+
+  /// The adjacency-list Graph with the same edges in id order, for the
+  /// algorithms that still need one.
+  Graph to_graph() const;
 
   /// Rebuilds this snapshot as the subgraph of `parent` induced by `nodes`
   /// and `edges` (every edge's endpoints must be listed in `nodes`),
@@ -74,6 +88,9 @@ class CsrGraph {
     return static_cast<NodeId>(incident(v).size());
   }
 
+  /// Degree counting only non-virtual edges.
+  NodeId real_degree(NodeId v) const;
+
   bool valid_node(NodeId v) const { return v >= 0 && v < node_count_; }
 
  private:
@@ -85,7 +102,6 @@ class CsrGraph {
   std::vector<EdgeId> offsets_;        // node_count_ + 1 entries
   std::vector<Incidence> incidences_;  // 2 * edge_count entries
   std::vector<Edge> edges_;            // edge copy, id order
-  std::vector<EdgeId> fill_cursor_;    // rebuild scratch, kept for reuse
 };
 
 }  // namespace tgroom

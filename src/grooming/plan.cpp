@@ -14,9 +14,13 @@ int GroomingPlan::wavelength_count() const {
   return count;
 }
 
-GroomingPlan plan_from_partition(const DemandSet& demands,
-                                 const Graph& traffic_graph,
-                                 const EdgePartition& partition) {
+namespace {
+
+// Graph and CsrGraph expose the same edge table.
+template <typename G>
+GroomingPlan plan_from_partition_impl(const DemandSet& demands,
+                                      const G& traffic_graph,
+                                      const EdgePartition& partition) {
   TGROOM_CHECK_MSG(
       traffic_graph.real_edge_count() ==
           static_cast<EdgeId>(demands.size()),
@@ -24,6 +28,7 @@ GroomingPlan plan_from_partition(const DemandSet& demands,
   GroomingPlan plan;
   plan.ring_size = demands.ring_size();
   plan.grooming_factor = partition.k;
+  plan.pairs.reserve(static_cast<std::size_t>(partition.total_edges()));
   for (std::size_t w = 0; w < partition.parts.size(); ++w) {
     const auto& part = partition.parts[w];
     TGROOM_CHECK_MSG(part.size() <= static_cast<std::size_t>(partition.k),
@@ -37,6 +42,20 @@ GroomingPlan plan_from_partition(const DemandSet& demands,
     }
   }
   return plan;
+}
+
+}  // namespace
+
+GroomingPlan plan_from_partition(const DemandSet& demands,
+                                 const Graph& traffic_graph,
+                                 const EdgePartition& partition) {
+  return plan_from_partition_impl(demands, traffic_graph, partition);
+}
+
+GroomingPlan plan_from_partition(const DemandSet& demands,
+                                 const CsrGraph& traffic_graph,
+                                 const EdgePartition& partition) {
+  return plan_from_partition_impl(demands, traffic_graph, partition);
 }
 
 long long plan_sadm_count(const GroomingPlan& plan) {

@@ -33,6 +33,9 @@ struct GroomingPlan {
 GroomingPlan plan_from_partition(const DemandSet& demands,
                                  const Graph& traffic_graph,
                                  const EdgePartition& partition);
+GroomingPlan plan_from_partition(const DemandSet& demands,
+                                 const CsrGraph& traffic_graph,
+                                 const EdgePartition& partition);
 
 /// SADM count of a plan: number of distinct (node, wavelength) pairs where
 /// the node adds/drops traffic on that wavelength.

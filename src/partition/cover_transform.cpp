@@ -25,7 +25,7 @@ EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
   return partition;
 }
 
-EdgePartition partition_from_cover(const Graph& g,
+EdgePartition partition_from_cover(const CsrGraph& g,
                                    const ArenaSkeletonCover& cover, int k,
                                    MonotonicArena& arena) {
   TGROOM_CHECK(k >= 1);

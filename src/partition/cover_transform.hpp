@@ -28,7 +28,7 @@ EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
 /// order lives on `arena`; only the escaping partition parts touch the
 /// heap.  Produces a partition identical to the heap overload's for the
 /// equivalent cover.
-EdgePartition partition_from_cover(const Graph& g,
+EdgePartition partition_from_cover(const CsrGraph& g,
                                    const ArenaSkeletonCover& cover, int k,
                                    MonotonicArena& arena);
 

@@ -1,8 +1,7 @@
 #include "partition/edge_partition.hpp"
 
 #include <algorithm>
-
-#include "graph/properties.hpp"
+#include <vector>
 
 namespace tgroom {
 
@@ -12,12 +11,61 @@ EdgeId EdgePartition::total_edges() const {
   return static_cast<EdgeId>(total);
 }
 
-long long sadm_cost(const Graph& g, const EdgePartition& partition) {
+namespace {
+
+// Graph and CsrGraph expose the same edge table and degree interface.
+template <typename G>
+long long sadm_cost_impl(const G& g, const EdgePartition& partition) {
+  // stamp[v] == i + 1 once part i has counted node v, so the array is
+  // cleared once per call rather than once per part.
+  std::vector<std::size_t> stamp(static_cast<std::size_t>(g.node_count()), 0);
   long long cost = 0;
-  for (const auto& part : partition.parts) {
-    cost += spanned_node_count(g, part);
+  for (std::size_t i = 0; i < partition.parts.size(); ++i) {
+    for (EdgeId id : partition.parts[i]) {
+      const Edge& e = g.edge(id);
+      for (NodeId x : {e.u, e.v}) {
+        std::size_t& s = stamp[static_cast<std::size_t>(x)];
+        if (s != i + 1) {
+          s = i + 1;
+          ++cost;
+        }
+      }
+    }
   }
   return cost;
+}
+
+template <typename G>
+long long degree_lower_bound_impl(const G& g, int k) {
+  TGROOM_CHECK(k >= 1);
+  const bool all_real = g.real_edge_count() == g.edge_count();
+  long long total = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const NodeId degree = all_real ? g.degree(v) : g.real_degree(v);
+    total += (static_cast<long long>(degree) + k - 1) / k;
+  }
+  return total;
+}
+
+template <typename G>
+long long partition_cost_lower_bound_impl(const G& g, int k) {
+  TGROOM_CHECK(k >= 1);
+  long long m = g.real_edge_count();
+  long long full_parts = m / k;
+  long long rest = m % k;
+  long long packing = full_parts * min_nodes_for_edges(k) +
+                      min_nodes_for_edges(rest);
+  return std::max(degree_lower_bound_impl(g, k), packing);
+}
+
+}  // namespace
+
+long long sadm_cost(const Graph& g, const EdgePartition& partition) {
+  return sadm_cost_impl(g, partition);
+}
+
+long long sadm_cost(const CsrGraph& g, const EdgePartition& partition) {
+  return sadm_cost_impl(g, partition);
 }
 
 PartitionValidation validate_partition(const Graph& g,
@@ -75,22 +123,19 @@ NodeId min_nodes_for_edges(long long edges) {
 }
 
 long long degree_lower_bound(const Graph& g, int k) {
-  TGROOM_CHECK(k >= 1);
-  long long total = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    total += (static_cast<long long>(g.real_degree(v)) + k - 1) / k;
-  }
-  return total;
+  return degree_lower_bound_impl(g, k);
+}
+
+long long degree_lower_bound(const CsrGraph& g, int k) {
+  return degree_lower_bound_impl(g, k);
 }
 
 long long partition_cost_lower_bound(const Graph& g, int k) {
-  TGROOM_CHECK(k >= 1);
-  long long m = g.real_edge_count();
-  long long full_parts = m / k;
-  long long rest = m % k;
-  long long packing = full_parts * min_nodes_for_edges(k) +
-                      min_nodes_for_edges(rest);
-  return std::max(degree_lower_bound(g, k), packing);
+  return partition_cost_lower_bound_impl(g, k);
+}
+
+long long partition_cost_lower_bound(const CsrGraph& g, int k) {
+  return partition_cost_lower_bound_impl(g, k);
 }
 
 }  // namespace tgroom

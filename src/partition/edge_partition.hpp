@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 
 namespace tgroom {
@@ -21,7 +22,9 @@ struct EdgePartition {
 };
 
 /// Σ over parts of the number of distinct nodes spanned — the SADM count.
+/// One pass over the parts' edges with a node array stamped per part.
 long long sadm_cost(const Graph& g, const EdgePartition& partition);
+long long sadm_cost(const CsrGraph& g, const EdgePartition& partition);
 
 struct PartitionValidation {
   bool ok = true;
@@ -52,9 +55,11 @@ NodeId min_nodes_for_edges(long long edges);
 /// is subadditive and concave, so the per-part node bound is minimized by
 /// filling parts to k edges.
 long long partition_cost_lower_bound(const Graph& g, int k);
+long long partition_cost_lower_bound(const CsrGraph& g, int k);
 
 /// Just the degree term Σ_v ceil(deg(v)/k) (the classic UPSR grooming
 /// lower bound).
 long long degree_lower_bound(const Graph& g, int k);
+long long degree_lower_bound(const CsrGraph& g, int k);
 
 }  // namespace tgroom

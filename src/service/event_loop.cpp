@@ -716,8 +716,9 @@ struct EventLoopServer::Impl {
         break;
       }
       for (int i = 0; i < n; ++i) {
-        const int fd = events[i].data.fd;
-        const std::uint32_t mask = events[i].events;
+        const epoll_event& event = events[static_cast<std::size_t>(i)];
+        const int fd = event.data.fd;
+        const std::uint32_t mask = event.events;
         if (fd == listen_fd) {
           if (phase == Phase::kServing) accept_ready(log);
           continue;

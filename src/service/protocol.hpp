@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "algorithms/algorithm.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 #include "grooming/incremental.hpp"
 #include "grooming/plan.hpp"
@@ -115,8 +116,9 @@ struct ServiceRequest {
   bool has_id = false;
   ServiceOp op = ServiceOp::kStats;
 
-  // groom fields
-  Graph graph;
+  // groom fields.  The graph is parsed straight into a CSR snapshot, the
+  // form SpanT_Euler and the fingerprint walk (DESIGN.md §18).
+  CsrGraph graph;
   AlgorithmId algorithm = AlgorithmId::kSpanTEuler;
   int k = 16;
   std::uint64_t seed = 1;
@@ -177,6 +179,12 @@ struct RequestParse {
 /// directly out of a connection's read buffer without copying the line;
 /// nothing in the result aliases `line`.
 RequestParse parse_request(std::string_view line);
+
+/// The generic parser alone: the JsonValue tree and its canonical error
+/// messages.  parse_request tries a strict in-place scanner first and
+/// falls back to this one; on every line the two must agree, which the
+/// parser differential test checks.
+RequestParse parse_request_generic(std::string_view line);
 
 /// One structured error response line (without trailing newline).
 std::string make_error_response(std::int64_t id, bool has_id,

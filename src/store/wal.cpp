@@ -125,8 +125,20 @@ WalWriter::~WalWriter() {
 
 void WalWriter::open_segment_locked(std::uint64_t first_seq) {
   file_path_ = segment_path(dir_, first_seq);
-  TGROOM_CHECK_MSG(!fs::exists(file_path_),
-                   "WAL segment already exists: " + file_path_);
+  if (fs::exists(file_path_)) {
+    // A restart with no write since the last open finds the tail segment
+    // that open created: recovery read its header and found no record
+    // (it deletes a segment whose only record is torn), so it holds
+    // exactly the header.  Append to it.
+    TGROOM_CHECK_MSG(fs::file_size(file_path_) == kSegmentHeaderBytes,
+                     "WAL segment already exists: " + file_path_);
+    file_ = std::fopen(file_path_.c_str(), "ab");
+    TGROOM_CHECK_MSG(file_ != nullptr,
+                     "cannot reopen WAL segment: " + file_path_);
+    segments_.push_back(file_path_);
+    segment_bytes_written_ = kSegmentHeaderBytes;
+    return;
+  }
   file_ = std::fopen(file_path_.c_str(), "wb");
   TGROOM_CHECK_MSG(file_ != nullptr,
                    "cannot create WAL segment: " + file_path_);

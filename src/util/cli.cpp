@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -24,6 +25,14 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
     } else {
       flags_[body] = "true";
     }
+  }
+}
+
+CliArgs::CliArgs(int argc, const char* const* argv, const char* usage)
+    : CliArgs(argc, argv) {
+  if (has("help")) {
+    std::fputs(usage, stdout);
+    std::exit(0);
   }
 }
 

@@ -19,6 +19,12 @@ class CliArgs {
   /// in `passthrough()` for benchmark::Initialize.
   CliArgs(int argc, const char* const* argv);
 
+  /// Same, for a program with a usage text: when argv holds `--help`,
+  /// prints `usage` to stdout and exits 0 before the program does any
+  /// work (the bench binaries would otherwise run and write their result
+  /// files into the working directory).
+  CliArgs(int argc, const char* const* argv, const char* usage);
+
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;

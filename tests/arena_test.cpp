@@ -94,7 +94,7 @@ ServiceRequest make_groom_request(const Graph& g, int k) {
   request.op = ServiceOp::kGroom;
   request.id = 1;
   request.has_id = true;
-  request.graph = g;
+  request.graph.rebuild(g);
   request.algorithm = AlgorithmId::kSpanTEuler;
   request.k = k;
   request.include_partition = true;

@@ -249,7 +249,8 @@ ServiceConfig shard_config(int shard_index, int shard_count) {
   config.cache_capacity = 64;
   config.metrics_on_exit = false;
   if (shard_count > 0) {
-    config.node_id = "s" + std::to_string(shard_index);
+    config.node_id = "s";
+    config.node_id += std::to_string(shard_index);
     config.shard_index = shard_index;
     config.shard_count = shard_count;
   }

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "gen/families.hpp"
+#include "gen/random_graph.hpp"
+#include "graph/csr_graph.hpp"
+#include "graph/properties.hpp"
 #include "partition/edge_partition.hpp"
 
 namespace tgroom {
@@ -29,6 +35,50 @@ TEST(SadmCost, TriangleVersusPath) {
   mixed.k = 3;
   mixed.parts = {{0, 1, 3}, {2}};
   EXPECT_EQ(sadm_cost(g, mixed), 5 + 2);
+}
+
+TEST(SadmCost, StampedCountEqualsSpannedNodeSum) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(rng.uniform_int(2, 40));
+    const long long max_m = static_cast<long long>(n) * (n - 1) / 2;
+    Graph g = random_gnm(n, rng.uniform_int(0, max_m), rng);
+    // A few virtual edges: sadm_cost counts their endpoints too, and the
+    // lower bound must skip them.
+    if (trial % 4 == 0 && n >= 2) g.add_edge(0, n - 1, /*is_virtual=*/true);
+    const int k = static_cast<int>(rng.uniform_int(1, 12));
+    std::vector<EdgeId> ids(static_cast<std::size_t>(g.edge_count()));
+    std::iota(ids.begin(), ids.end(), EdgeId{0});
+    rng.shuffle(ids);
+    EdgePartition p;
+    p.k = k;
+    for (std::size_t i = 0; i < ids.size();) {
+      const auto size = static_cast<std::size_t>(rng.uniform_int(1, k));
+      const std::size_t end = std::min(ids.size(), i + size);
+      p.parts.emplace_back(ids.begin() + static_cast<long>(i),
+                           ids.begin() + static_cast<long>(end));
+      i = end;
+    }
+    long long spanned = 0;
+    for (const auto& part : p.parts) spanned += spanned_node_count(g, part);
+    const CsrGraph csr(g);
+    EXPECT_EQ(sadm_cost(g, p), spanned);
+    EXPECT_EQ(sadm_cost(csr, p), spanned);
+
+    long long degree_term = 0;
+    for (NodeId v = 0; v < n; ++v) {
+      degree_term += (static_cast<long long>(g.real_degree(v)) + k - 1) / k;
+    }
+    const long long m = g.real_edge_count();
+    const long long packing = (m / k) * min_nodes_for_edges(k) +
+                              min_nodes_for_edges(m % k);
+    EXPECT_EQ(degree_lower_bound(g, k), degree_term);
+    EXPECT_EQ(degree_lower_bound(csr, k), degree_term);
+    EXPECT_EQ(partition_cost_lower_bound(g, k),
+              std::max(degree_term, packing));
+    EXPECT_EQ(partition_cost_lower_bound(csr, k),
+              std::max(degree_term, packing));
+  }
 }
 
 TEST(Validate, AcceptsProperPartition) {

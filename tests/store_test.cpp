@@ -652,6 +652,53 @@ TEST(StoreDurable, ReopenRecoversIdenticalState) {
   EXPECT_EQ(reopened.append_provision(1, {{3, 5}}), 3u);
 }
 
+TEST(StoreDurable, ReopenOneDirRepeatedlyWithAndWithoutWrites) {
+  TempDir dir;
+  DurableStoreOptions options;
+  options.dir = dir.str();
+  options.fsync = FsyncPolicy::kBatch;
+  options.snapshot_every = 0;
+
+  GroomingPlan plan = make_plan(8, 4, {});
+  extend_plan_incremental(plan, {{0, 4}, {1, 5}});
+  // Each open recovers `plans` plans (plan 1 as `expect` when present),
+  // then appends `writes` provision records to plan 1.
+  auto open_check_write = [&](std::size_t plans, const std::string& expect,
+                              std::uint64_t last_seq, int writes) {
+    DurableStore store(options);
+    RecoveredState state = store.take_recovered();
+    EXPECT_EQ(store.recovery().last_seq, last_seq);
+    ASSERT_EQ(state.plans.size(), plans);
+    if (plans > 0) {
+      EXPECT_EQ(serialize_plan(state.plans.at(1)), expect);
+    }
+    for (int i = 0; i < writes; ++i) {
+      const std::uint64_t seq = store.append_provision(
+          1, {{static_cast<NodeId>(2 + i), 7}});
+      EXPECT_EQ(seq, last_seq + 1 + static_cast<std::uint64_t>(i));
+      store.sync(seq);
+    }
+  };
+
+  open_check_write(0, "", 0, 0);  // fresh dir, no write
+  open_check_write(0, "", 0, 0);  // restart with an empty tail segment
+  {
+    DurableStore store(options);
+    store.sync(store.append_hold(1, plan, make_key(42), make_value()));
+  }
+  const std::string held = serialize_plan(plan);
+  open_check_write(1, held, 1, 0);  // restart right after a write
+  open_check_write(1, held, 1, 2);  // restart with no write in between
+  extend_plan_incremental(plan, {{2, 7}});  // mirror the two records
+  extend_plan_incremental(plan, {{3, 7}});
+  const std::string extended = serialize_plan(plan);
+  open_check_write(1, extended, 3, 0);
+  open_check_write(1, extended, 3, 0);
+  // A new segment for the first open and for each open after a write;
+  // an open after an idle one reuses its empty tail segment.
+  EXPECT_EQ(list_wal_segments(dir.str()).size(), 3u);
+}
+
 TEST(StoreDurable, SnapshotCompactsSupersededFiles) {
   TempDir dir;
   DurableStoreOptions options;
