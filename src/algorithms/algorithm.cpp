@@ -1,5 +1,6 @@
 #include "algorithms/algorithm.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 #include "algorithms/brauner.hpp"
@@ -30,36 +31,51 @@ const char* algorithm_name(AlgorithmId id) {
   return "?";
 }
 
-std::optional<AlgorithmId> parse_algorithm_name(const std::string& name) {
-  std::string lower;
-  for (char c : name) {
-    lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+namespace {
+
+constexpr AlgorithmId kAllAlgorithms[] = {
+    AlgorithmId::kGoldschmidt, AlgorithmId::kBrauner,
+    AlgorithmId::kWangGuIcc06, AlgorithmId::kSpanTEuler,
+    AlgorithmId::kRegularEuler, AlgorithmId::kCliquePack};
+
+struct Alias {
+  std::string_view name;
+  AlgorithmId id;
+};
+
+constexpr Alias kAliases[] = {
+    {"algo1", AlgorithmId::kGoldschmidt},
+    {"goldschmidt", AlgorithmId::kGoldschmidt},
+    {"algo2", AlgorithmId::kBrauner},
+    {"brauner", AlgorithmId::kBrauner},
+    {"algo3", AlgorithmId::kWangGuIcc06},
+    {"wanggu", AlgorithmId::kWangGuIcc06},
+    {"spant", AlgorithmId::kSpanTEuler},
+    {"regular", AlgorithmId::kRegularEuler},
+    {"clique", AlgorithmId::kCliquePack},
+};
+
+bool equals_ignoring_case(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](char x, char y) {
+                      return std::tolower(static_cast<unsigned char>(x)) ==
+                             std::tolower(static_cast<unsigned char>(y));
+                    });
+}
+
+}  // namespace
+
+std::optional<AlgorithmId> parse_algorithm_name(std::string_view name) {
+  for (AlgorithmId id : kAllAlgorithms) {
+    if (equals_ignoring_case(name, algorithm_name(id))) return id;
   }
-  for (AlgorithmId id : all_algorithms()) {
-    std::string canonical = algorithm_name(id);
-    for (char& c : canonical) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    if (lower == canonical) return id;
+  for (const Alias& alias : kAliases) {
+    if (equals_ignoring_case(name, alias.name)) return alias.id;
   }
-  if (lower == "algo1" || lower == "goldschmidt")
-    return AlgorithmId::kGoldschmidt;
-  if (lower == "algo2" || lower == "brauner") return AlgorithmId::kBrauner;
-  if (lower == "algo3" || lower == "wanggu") return AlgorithmId::kWangGuIcc06;
-  if (lower == "spant" || lower == "spant_euler")
-    return AlgorithmId::kSpanTEuler;
-  if (lower == "regular" || lower == "regular_euler")
-    return AlgorithmId::kRegularEuler;
-  if (lower == "clique" || lower == "cliquepack")
-    return AlgorithmId::kCliquePack;
   return std::nullopt;
 }
 
-std::vector<AlgorithmId> all_algorithms() {
-  return {AlgorithmId::kGoldschmidt, AlgorithmId::kBrauner,
-          AlgorithmId::kWangGuIcc06, AlgorithmId::kSpanTEuler,
-          AlgorithmId::kRegularEuler, AlgorithmId::kCliquePack};
-}
+std::span<const AlgorithmId> all_algorithms() { return kAllAlgorithms; }
 
 namespace {
 

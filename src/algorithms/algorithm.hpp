@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/matching.hpp"
@@ -29,10 +31,11 @@ const char* algorithm_name(AlgorithmId id);
 
 /// Inverse of algorithm_name; also accepts the short aliases "algo1",
 /// "algo2", "algo3", "spant", "regular", "clique" (case-insensitive).
-std::optional<AlgorithmId> parse_algorithm_name(const std::string& name);
+/// Compares in place: no allocation.
+std::optional<AlgorithmId> parse_algorithm_name(std::string_view name);
 
 /// All ids, for enumeration in tools.
-std::vector<AlgorithmId> all_algorithms();
+std::span<const AlgorithmId> all_algorithms();
 
 /// Tunables; the defaults reproduce the paper's configuration.
 struct GroomingOptions {

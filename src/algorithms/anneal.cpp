@@ -13,7 +13,7 @@ AnnealStats anneal_partition(const Graph& g, EdgePartition& partition,
   TGROOM_CHECK(options.start_temperature > 0 &&
                options.end_temperature > 0);
   AnnealStats stats;
-  auto& parts = partition.parts;
+  std::vector<std::vector<EdgeId>> parts = partition.parts.to_nested();
   const auto k = static_cast<std::size_t>(partition.k);
 
   std::vector<PartProfile> profiles(parts.size());
@@ -90,6 +90,7 @@ AnnealStats anneal_partition(const Graph& g, EdgePartition& partition,
   for (std::size_t i = parts.size(); i-- > 0;) {
     if (parts[i].empty()) parts.erase(parts.begin() + static_cast<long>(i));
   }
+  partition.parts = FlatParts::from_nested(parts);
   stats.cost_after = best_cost;
   return stats;
 }

@@ -35,8 +35,7 @@ EdgePartition clique_pack(const Graph& g, int k,
     --alive_deg[static_cast<std::size_t>(g.edge(e).v)];
   };
 
-  EdgePartition partition;
-  partition.k = k;
+  std::vector<std::vector<EdgeId>> parts;
   std::vector<std::set<NodeId>> part_nodes;
 
   while (alive_count > 0) {
@@ -82,7 +81,7 @@ EdgePartition clique_pack(const Graph& g, int k,
       nodes.insert(g.edge(best).v);
       kill(best);
     }
-    partition.parts.push_back(std::move(part));
+    parts.push_back(std::move(part));
     part_nodes.push_back(std::move(nodes));
   }
 
@@ -90,21 +89,20 @@ EdgePartition clique_pack(const Graph& g, int k,
   // into remaining slack, placing each edge where it adds fewest nodes.
   const auto min_w = static_cast<std::size_t>(
       min_wavelengths(g.real_edge_count(), k));
-  while (partition.parts.size() > min_w) {
+  while (parts.size() > min_w) {
     std::size_t smallest = 0;
-    for (std::size_t i = 1; i < partition.parts.size(); ++i) {
-      if (partition.parts[i].size() < partition.parts[smallest].size())
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      if (parts[i].size() < parts[smallest].size())
         smallest = i;
     }
-    std::vector<EdgeId> homeless = std::move(partition.parts[smallest]);
-    partition.parts.erase(partition.parts.begin() +
-                          static_cast<long>(smallest));
+    std::vector<EdgeId> homeless = std::move(parts[smallest]);
+    parts.erase(parts.begin() + static_cast<long>(smallest));
     part_nodes.erase(part_nodes.begin() + static_cast<long>(smallest));
     for (EdgeId e : homeless) {
-      std::size_t target = partition.parts.size();
+      std::size_t target = parts.size();
       int target_gain = 3;
-      for (std::size_t i = 0; i < partition.parts.size(); ++i) {
-        if (partition.parts[i].size() >= static_cast<std::size_t>(k))
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        if (parts[i].size() >= static_cast<std::size_t>(k))
           continue;
         int gain = new_nodes(part_nodes[i], g.edge(e));
         if (gain < target_gain) {
@@ -112,13 +110,16 @@ EdgePartition clique_pack(const Graph& g, int k,
           target = i;
         }
       }
-      TGROOM_CHECK_MSG(target < partition.parts.size(),
+      TGROOM_CHECK_MSG(target < parts.size(),
                        "repair pass ran out of slack");
-      partition.parts[target].push_back(e);
+      parts[target].push_back(e);
       part_nodes[target].insert(g.edge(e).u);
       part_nodes[target].insert(g.edge(e).v);
     }
   }
+  EdgePartition partition;
+  partition.k = k;
+  partition.parts = FlatParts::from_nested(parts);
   return partition;
 }
 

@@ -53,7 +53,7 @@ class Searcher {
     descend(0, 0);
     ExactResult result;
     result.partition.k = k_;
-    result.partition.parts = best_parts_;
+    result.partition.parts = FlatParts::from_nested(best_parts_);
     result.feasible = !best_parts_.empty() || order_.empty();
     result.cost = result.feasible ? best_cost_ : 0;
     result.nodes_explored = nodes_;

@@ -38,24 +38,18 @@ EdgePartition goldschmidt_spanning_tree(const Graph& g, int k,
   // Reverse preorder keeps every subtree's nodes contiguous and children
   // ahead of parents: flush each node's anchored edges, then its parent
   // edge, cutting every k edges.
-  EdgePartition partition;
-  partition.k = k;
-  std::vector<EdgeId> pending;
-  auto emit = [&](EdgeId e) {
-    pending.push_back(e);
-    if (pending.size() == static_cast<std::size_t>(k)) {
-      partition.parts.push_back(std::move(pending));
-      pending.clear();
-    }
-  };
+  std::vector<EdgeId> order;
+  order.reserve(static_cast<std::size_t>(g.edge_count()));
   for (auto it = forest.preorder.rbegin(); it != forest.preorder.rend();
        ++it) {
     NodeId v = *it;
-    for (EdgeId e : anchored[static_cast<std::size_t>(v)]) emit(e);
+    for (EdgeId e : anchored[static_cast<std::size_t>(v)]) order.push_back(e);
     EdgeId parent_edge = forest.parent_edge[static_cast<std::size_t>(v)];
-    if (parent_edge != kInvalidEdge) emit(parent_edge);
+    if (parent_edge != kInvalidEdge) order.push_back(parent_edge);
   }
-  if (!pending.empty()) partition.parts.push_back(std::move(pending));
+  EdgePartition partition;
+  partition.k = k;
+  partition.parts = FlatParts::chunks(std::move(order), k);
   return partition;
 }
 

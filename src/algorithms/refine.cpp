@@ -7,7 +7,7 @@ namespace tgroom {
 RefineStats refine_partition(const Graph& g, EdgePartition& partition,
                              int max_passes) {
   RefineStats stats;
-  auto& parts = partition.parts;
+  std::vector<std::vector<EdgeId>> parts = partition.parts.to_nested();
   const auto k = static_cast<std::size_t>(partition.k);
 
   std::vector<PartProfile> profiles(parts.size());
@@ -85,6 +85,7 @@ RefineStats refine_partition(const Graph& g, EdgePartition& partition,
       profiles.erase(profiles.begin() + static_cast<long>(i));
     }
   }
+  partition.parts = FlatParts::from_nested(parts);
   stats.cost_after = cost;
   return stats;
 }

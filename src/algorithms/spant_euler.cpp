@@ -204,15 +204,9 @@ void run_component_chunk(const CsrGraph& csr, const ComponentSplit& split,
     for (const ArenaSkeleton& s : cover) {
       MergeSeq seq;
       seq.edges = ArenaVector<EdgeId>(
-          ArenaAllocator<EdgeId>(&chunk.out_arena));
-      {
-        ArenaVector<EdgeId> local{ArenaAllocator<EdgeId>(&chunk.ws.arena)};
-        s.append_canonical_order(local);
-        seq.edges.reserve(local.size());
-        for (EdgeId e : local) {
-          seq.edges.push_back(comp_edges[static_cast<std::size_t>(e)]);
-        }
-      }
+          s.size(), ArenaAllocator<EdgeId>(&chunk.out_arena));
+      s.write_canonical_order(seq.edges.data(), chunk.ws.arena);
+      for (EdgeId& e : seq.edges) e = comp_edges[static_cast<std::size_t>(e)];
       if (s.walk_edges().empty()) {
         seq.phase = 1;
         seq.key = seq.edges.front();
@@ -315,23 +309,14 @@ EdgePartition spant_euler_parallel(const Graph& g, int k,
                                           : a->key < b->key;
             });
 
+  std::vector<EdgeId> ids;
+  ids.reserve(total);
+  for (const MergeSeq* seq : order) {
+    ids.insert(ids.end(), seq->edges.begin(), seq->edges.end());
+  }
   EdgePartition partition;
   partition.k = k;
-  partition.parts.reserve((total + static_cast<std::size_t>(k) - 1) /
-                          static_cast<std::size_t>(k));
-  std::vector<EdgeId> part;
-  part.reserve(static_cast<std::size_t>(k));
-  for (const MergeSeq* seq : order) {
-    for (EdgeId e : seq->edges) {
-      part.push_back(e);
-      if (part.size() == static_cast<std::size_t>(k)) {
-        partition.parts.push_back(std::move(part));
-        part = {};
-        part.reserve(static_cast<std::size_t>(k));
-      }
-    }
-  }
-  if (!part.empty()) partition.parts.push_back(std::move(part));
+  partition.parts = FlatParts::chunks(std::move(ids), k);
   return partition;
 }
 

@@ -1,18 +1,20 @@
 // 64-bit identity fingerprint of a labeled graph.
 //
 // The service's plan cache needs a cheap, stable key for "the same request
-// graph again".  The fingerprint absorbs exactly the data CsrGraph
-// snapshots — the per-node offset table (cumulative degrees) and the
-// incidence array in per-node ascending-edge-id order, plus the edge
-// endpoint/virtual table — through a splitmix64 sponge.  Both overloads
-// walk that same canonical sequence, so fingerprinting a Graph and its
-// CsrGraph snapshot yields the same value.
+// graph again".  A graph is determined by its node count and its edge
+// table (the CSR offsets and incidences are a function of those two), so
+// the fingerprint absorbs the node, edge and real-edge counts plus one
+// word per edge, `u | v << 31 | virtual << 62`.  Edge i feeds splitmix64
+// lane i mod 4; the four independent chains let the CPU overlap their
+// multiplies, and the counts and then the lanes, in lane order, fold into
+// the result.  Both overloads read the same edge table, so fingerprinting
+// a Graph and its CsrGraph snapshot yields the same value.
 //
 // This is a *labeled* identity: relabelling the nodes of an isomorphic
 // graph changes the fingerprint (with overwhelming probability), which is
 // the desired cache semantics — a request names nodes, not an isomorphism
 // class.  Collisions between distinct graphs are possible in principle
-// (pigeonhole over the 56 hash bits) but the sponge mixes every word, so
+// (pigeonhole over the 56 hash bits) but every word is mixed, so
 // accidental collisions are a ~2^-56 event per pair.
 //
 // The top byte of the returned value is NOT hash material: it carries the
@@ -34,8 +36,10 @@
 namespace tgroom {
 
 /// Version of the fingerprint absorption scheme, carried in the top byte
-/// of every fingerprint.
-inline constexpr std::uint8_t kFingerprintFormatVersion = 1;
+/// of every fingerprint.  Version 1 also absorbed the CSR offsets and
+/// incidences (3 + n + 4m words through one serial chain); stores and
+/// replication peers written under it are refused as incompatible.
+inline constexpr std::uint8_t kFingerprintFormatVersion = 2;
 
 /// The format-version byte embedded in a fingerprint value.
 inline constexpr std::uint8_t fingerprint_version(std::uint64_t fingerprint) {

@@ -20,18 +20,18 @@ namespace {
 template <typename G>
 GroomingPlan plan_from_partition_impl(const DemandSet& demands,
                                       const G& traffic_graph,
-                                      const EdgePartition& partition) {
+                                      const FlatParts& parts, int k) {
   TGROOM_CHECK_MSG(
       traffic_graph.real_edge_count() ==
           static_cast<EdgeId>(demands.size()),
       "traffic graph and demand set disagree");
   GroomingPlan plan;
   plan.ring_size = demands.ring_size();
-  plan.grooming_factor = partition.k;
-  plan.pairs.reserve(static_cast<std::size_t>(partition.total_edges()));
-  for (std::size_t w = 0; w < partition.parts.size(); ++w) {
-    const auto& part = partition.parts[w];
-    TGROOM_CHECK_MSG(part.size() <= static_cast<std::size_t>(partition.k),
+  plan.grooming_factor = k;
+  plan.pairs.reserve(parts.ids().size());
+  for (std::size_t w = 0; w < parts.size(); ++w) {
+    const FlatParts::Part part = parts[w];
+    TGROOM_CHECK_MSG(part.size() <= static_cast<std::size_t>(k),
                      "part exceeds grooming factor");
     for (std::size_t slot = 0; slot < part.size(); ++slot) {
       const Edge& e = traffic_graph.edge(part[slot]);
@@ -49,13 +49,14 @@ GroomingPlan plan_from_partition_impl(const DemandSet& demands,
 GroomingPlan plan_from_partition(const DemandSet& demands,
                                  const Graph& traffic_graph,
                                  const EdgePartition& partition) {
-  return plan_from_partition_impl(demands, traffic_graph, partition);
+  return plan_from_partition_impl(demands, traffic_graph, partition.parts,
+                                  partition.k);
 }
 
 GroomingPlan plan_from_partition(const DemandSet& demands,
                                  const CsrGraph& traffic_graph,
-                                 const EdgePartition& partition) {
-  return plan_from_partition_impl(demands, traffic_graph, partition);
+                                 const FlatParts& parts, int k) {
+  return plan_from_partition_impl(demands, traffic_graph, parts, k);
 }
 
 long long plan_sadm_count(const GroomingPlan& plan) {

@@ -33,9 +33,17 @@ struct GroomingPlan {
 GroomingPlan plan_from_partition(const DemandSet& demands,
                                  const Graph& traffic_graph,
                                  const EdgePartition& partition);
+/// Same, from a partition's parts alone (the service holds a cached
+/// result this way without copying its parts).
 GroomingPlan plan_from_partition(const DemandSet& demands,
                                  const CsrGraph& traffic_graph,
-                                 const EdgePartition& partition);
+                                 const FlatParts& parts, int k);
+inline GroomingPlan plan_from_partition(const DemandSet& demands,
+                                        const CsrGraph& traffic_graph,
+                                        const EdgePartition& partition) {
+  return plan_from_partition(demands, traffic_graph, partition.parts,
+                             partition.k);
+}
 
 /// SADM count of a plan: number of distinct (node, wavelength) pairs where
 /// the node adds/drops traffic on that wavelength.

@@ -87,7 +87,7 @@ GroomingPlan plan_from_weighted_partition(const WeightedDemandSet& demands,
   plan.ring_size = demands.ring_size();
   plan.grooming_factor = partition.k;
   for (std::size_t w = 0; w < partition.parts.size(); ++w) {
-    const auto& part = partition.parts[w];
+    const FlatParts::Part part = partition.parts[w];
     TGROOM_CHECK_MSG(part.size() <= static_cast<std::size_t>(partition.k),
                      "part exceeds grooming factor");
     for (std::size_t slot = 0; slot < part.size(); ++slot) {

@@ -5,9 +5,6 @@ namespace tgroom {
 EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
                                    int k) {
   TGROOM_CHECK(k >= 1);
-  EdgePartition partition;
-  partition.k = k;
-
   std::vector<EdgeId> order;
   for (const Skeleton& skeleton : cover) {
     for (EdgeId e : skeleton.canonical_order()) {
@@ -16,12 +13,9 @@ EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
       order.push_back(e);
     }
   }
-
-  for (std::size_t i = 0; i < order.size(); i += static_cast<std::size_t>(k)) {
-    std::size_t end = std::min(order.size(), i + static_cast<std::size_t>(k));
-    partition.parts.emplace_back(order.begin() + static_cast<long>(i),
-                                 order.begin() + static_cast<long>(end));
-  }
+  EdgePartition partition;
+  partition.k = k;
+  partition.parts = FlatParts::chunks(std::move(order), k);
   return partition;
 }
 
@@ -29,26 +23,23 @@ EdgePartition partition_from_cover(const CsrGraph& g,
                                    const ArenaSkeletonCover& cover, int k,
                                    MonotonicArena& arena) {
   TGROOM_CHECK(k >= 1);
-  EdgePartition partition;
-  partition.k = k;
-
-  ArenaVector<EdgeId> order{ArenaAllocator<EdgeId>(&arena)};
+  std::size_t total = 0;
+  for (const ArenaSkeleton& skeleton : cover) total += skeleton.size();
+  // The parts are k-chunks of the concatenated canonical order, so each
+  // skeleton writes its order straight into the partition's id array.
+  std::vector<EdgeId> order(total);
+  EdgeId* out = order.data();
   for (const ArenaSkeleton& skeleton : cover) {
-    skeleton.append_canonical_order(order);
+    skeleton.write_canonical_order(out, arena);
+    out += skeleton.size();
   }
   for (EdgeId e : order) {
     TGROOM_CHECK_MSG(!g.edge(e).is_virtual,
                      "cover skeletons must not contain virtual edges");
   }
-
-  partition.parts.reserve(
-      (order.size() + static_cast<std::size_t>(k) - 1) /
-      static_cast<std::size_t>(k));
-  for (std::size_t i = 0; i < order.size(); i += static_cast<std::size_t>(k)) {
-    std::size_t end = std::min(order.size(), i + static_cast<std::size_t>(k));
-    partition.parts.emplace_back(order.begin() + static_cast<long>(i),
-                                 order.begin() + static_cast<long>(end));
-  }
+  EdgePartition partition;
+  partition.k = k;
+  partition.parts = FlatParts::chunks(std::move(order), k);
   return partition;
 }
 

@@ -24,9 +24,10 @@ namespace tgroom {
 EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
                                    int k);
 
-/// Same transform over an arena-backed cover: the concatenated canonical
-/// order lives on `arena`; only the escaping partition parts touch the
-/// heap.  Produces a partition identical to the heap overload's for the
+/// Same transform over an arena-backed cover: the skeletons write their
+/// canonical orders straight into the partition's id array (`arena` holds
+/// their scratch), so the escaping partition is the only heap touch.
+/// Produces a partition identical to the heap overload's for the
 /// equivalent cover.
 EdgePartition partition_from_cover(const CsrGraph& g,
                                    const ArenaSkeletonCover& cover, int k,

@@ -5,10 +5,44 @@
 
 namespace tgroom {
 
-EdgeId EdgePartition::total_edges() const {
+FlatParts::FlatParts(
+    std::initializer_list<std::initializer_list<EdgeId>> parts) {
+  ends_.reserve(parts.size());
+  for (const auto& part : parts) push_back(part);
+}
+
+FlatParts FlatParts::chunks(std::vector<EdgeId> ids, int k) {
+  TGROOM_CHECK(k >= 1);
+  FlatParts parts;
+  const auto step = static_cast<std::size_t>(k);
+  parts.ends_.reserve((ids.size() + step - 1) / step);
+  for (std::size_t end = step; end < ids.size() + step; end += step) {
+    parts.ends_.push_back(std::min(end, ids.size()));
+  }
+  parts.ids_ = std::move(ids);
+  return parts;
+}
+
+FlatParts FlatParts::from_nested(
+    const std::vector<std::vector<EdgeId>>& nested) {
   std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  return static_cast<EdgeId>(total);
+  for (const auto& part : nested) total += part.size();
+  FlatParts parts;
+  parts.reserve(nested.size(), total);
+  for (const auto& part : nested) parts.push_back(Part(part));
+  return parts;
+}
+
+std::vector<std::vector<EdgeId>> FlatParts::to_nested() const {
+  std::vector<std::vector<EdgeId>> nested;
+  nested.reserve(size());
+  for (Part part : *this) nested.emplace_back(part.begin(), part.end());
+  return nested;
+}
+
+void FlatParts::push_back(Part part) {
+  ids_.insert(ids_.end(), part.begin(), part.end());
+  ends_.push_back(ids_.size());
 }
 
 namespace {
@@ -21,7 +55,7 @@ long long sadm_cost_impl(const G& g, const EdgePartition& partition) {
   std::vector<std::size_t> stamp(static_cast<std::size_t>(g.node_count()), 0);
   long long cost = 0;
   for (std::size_t i = 0; i < partition.parts.size(); ++i) {
-    for (EdgeId id : partition.parts[i]) {
+    for (EdgeId id : partition.parts.part(i)) {
       const Edge& e = g.edge(id);
       for (NodeId x : {e.u, e.v}) {
         std::size_t& s = stamp[static_cast<std::size_t>(x)];
@@ -80,7 +114,7 @@ PartitionValidation validate_partition(const Graph& g,
 
   std::vector<int> times_seen(static_cast<std::size_t>(g.edge_count()), 0);
   for (std::size_t i = 0; i < partition.parts.size(); ++i) {
-    const auto& part = partition.parts[i];
+    const FlatParts::Part part = partition.parts[i];
     if (part.empty()) return fail("part " + std::to_string(i) + " is empty");
     if (part.size() > static_cast<std::size_t>(partition.k)) {
       return fail("part " + std::to_string(i) + " has " +

@@ -68,12 +68,11 @@ bool Skeleton::validate(const Graph& g) const {
 ArenaSkeleton::ArenaSkeleton(MonotonicArena* arena)
     : walk_nodes_(ArenaAllocator<NodeId>(arena)),
       walk_edges_(ArenaAllocator<EdgeId>(arena)),
-      branches_at_(ArenaAllocator<ArenaVector<EdgeId>>(arena)) {}
+      branches_(ArenaAllocator<Branch>(arena)) {}
 
 ArenaSkeleton ArenaSkeleton::single_node(NodeId v, MonotonicArena* arena) {
   ArenaSkeleton s(arena);
   s.walk_nodes_.push_back(v);
-  s.branches_at_.resize(1, ArenaVector<EdgeId>(ArenaAllocator<EdgeId>(arena)));
   return s;
 }
 
@@ -83,26 +82,39 @@ ArenaSkeleton ArenaSkeleton::from_walk(ArenaWalk&& walk,
   ArenaSkeleton s(arena);
   s.walk_nodes_ = std::move(walk.nodes);
   s.walk_edges_ = std::move(walk.edges);
-  s.branches_at_.resize(s.walk_nodes_.size(),
-                        ArenaVector<EdgeId>(ArenaAllocator<EdgeId>(arena)));
   return s;
 }
 
 void ArenaSkeleton::add_branch(std::size_t pos, EdgeId e) {
-  TGROOM_CHECK(pos < branches_at_.size());
-  branches_at_[pos].push_back(e);
+  TGROOM_CHECK(pos < walk_nodes_.size());
+  branches_.push_back(Branch{static_cast<std::uint32_t>(pos), e});
 }
 
-std::size_t ArenaSkeleton::size() const {
-  std::size_t total = walk_edges_.size();
-  for (const auto& bucket : branches_at_) total += bucket.size();
-  return total;
-}
-
-void ArenaSkeleton::append_canonical_order(ArenaVector<EdgeId>& out) const {
-  for (std::size_t pos = 0; pos < walk_nodes_.size(); ++pos) {
-    for (EdgeId b : branches_at_[pos]) out.push_back(b);
-    if (pos < walk_edges_.size()) out.push_back(walk_edges_[pos]);
+void ArenaSkeleton::write_canonical_order(EdgeId* out,
+                                          MonotonicArena& scratch) const {
+  if (branches_.empty()) {
+    std::copy(walk_edges_.begin(), walk_edges_.end(), out);
+    return;
+  }
+  if (walk_edges_.empty()) {  // every branch hangs off position 0
+    for (const Branch& b : branches_) *out++ = b.edge;
+    return;
+  }
+  // before[pos] = number of branches at positions < pos.  Backbone edge i
+  // follows every branch at positions <= i and the i backbone edges before
+  // it; a branch at pos follows the branches before it at pos, in
+  // attachment order.
+  ArenaVector<std::uint32_t> before(walk_nodes_.size() + 1, 0,
+                                    ArenaAllocator<std::uint32_t>(&scratch));
+  for (const Branch& b : branches_) ++before[b.position + 1];
+  for (std::size_t pos = 1; pos < before.size(); ++pos) {
+    before[pos] += before[pos - 1];
+  }
+  for (std::size_t i = 0; i < walk_edges_.size(); ++i) {
+    out[before[i + 1] + i] = walk_edges_[i];
+  }
+  for (const Branch& b : branches_) {
+    out[before[b.position]++ + b.position] = b.edge;
   }
 }
 
@@ -111,9 +123,7 @@ Skeleton ArenaSkeleton::to_skeleton() const {
   w.nodes.assign(walk_nodes_.begin(), walk_nodes_.end());
   w.edges.assign(walk_edges_.begin(), walk_edges_.end());
   Skeleton s = Skeleton::from_walk(std::move(w));
-  for (std::size_t pos = 0; pos < branches_at_.size(); ++pos) {
-    for (EdgeId e : branches_at_[pos]) s.add_branch(pos, e);
-  }
+  for (const Branch& b : branches_) s.add_branch(b.position, b.edge);
   return s;
 }
 

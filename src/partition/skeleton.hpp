@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -64,10 +65,13 @@ class Skeleton {
 using SkeletonCover = std::vector<Skeleton>;
 
 /// Arena-backed skeleton for the zero-allocation grooming hot path: same
-/// structure and canonical order as Skeleton, every vector (including the
-/// per-position branch buckets) bump-allocated from a MonotonicArena.
-/// Must not outlive the arena's next reset(); SpanT_Euler builds one cover
-/// per run and consumes it before the workspace rewinds.
+/// structure and canonical order as Skeleton, bump-allocated from a
+/// MonotonicArena.  Branches are one flat list of (position, edge) in
+/// attachment order rather than a bucket per backbone position;
+/// write_canonical_order interleaves them with the backbone by a stable
+/// counting sort on position.  Must not outlive the arena's next reset();
+/// SpanT_Euler builds one cover per run and consumes it before the
+/// workspace rewinds.
 class ArenaSkeleton {
  public:
   /// Single-node skeleton (the paper's degenerate Euler path of one node).
@@ -84,21 +88,27 @@ class ArenaSkeleton {
   void add_branch(std::size_t pos, EdgeId e);
 
   /// Number of edges (backbone + branches) — the paper's skeleton size s(S).
-  std::size_t size() const;
+  std::size_t size() const { return walk_edges_.size() + branches_.size(); }
 
-  /// Appends the canonical edge order (branches at position 0, backbone
-  /// edge 0, branches at position 1, …) to `out`.
-  void append_canonical_order(ArenaVector<EdgeId>& out) const;
+  /// Writes the canonical edge order (branches at position 0, backbone
+  /// edge 0, branches at position 1, …) to out[0, size()).  `scratch`
+  /// holds the per-position counts.
+  void write_canonical_order(EdgeId* out, MonotonicArena& scratch) const;
 
   /// Heap copy with the same structure, for traces and debugging.
   Skeleton to_skeleton() const;
 
  private:
+  struct Branch {
+    std::uint32_t position;
+    EdgeId edge;
+  };
+
   explicit ArenaSkeleton(MonotonicArena* arena);
 
-  ArenaVector<NodeId> walk_nodes_;                 // p >= 1
-  ArenaVector<EdgeId> walk_edges_;                 // p - 1
-  ArenaVector<ArenaVector<EdgeId>> branches_at_;   // size p
+  ArenaVector<NodeId> walk_nodes_;  // p >= 1
+  ArenaVector<EdgeId> walk_edges_;  // p - 1
+  ArenaVector<Branch> branches_;    // in attachment order
 };
 
 using ArenaSkeletonCover = ArenaVector<ArenaSkeleton>;

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "partition/edge_partition.hpp"
 
 namespace tgroom {
 
@@ -57,7 +58,7 @@ struct GroomCacheValue {
   long long sadms = 0;
   int wavelengths = 0;
   long long lower_bound = 0;
-  std::vector<std::vector<EdgeId>> parts;  // the partition, part-by-part
+  FlatParts parts;  // the partition, part-by-part
 };
 
 struct PlanCacheStats {

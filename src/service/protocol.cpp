@@ -194,10 +194,9 @@ void write_partition_json(JsonWriter& w, const EdgePartition& partition) {
   write_partition_json(w, partition.parts);
 }
 
-void write_partition_json(JsonWriter& w,
-                          const std::vector<std::vector<EdgeId>>& parts) {
+void write_partition_json(JsonWriter& w, const FlatParts& parts) {
   w.begin_array();
-  for (const auto& part : parts) {
+  for (FlatParts::Part part : parts) {
     w.begin_array();
     for (EdgeId e : part) w.value(static_cast<long long>(e));
     w.end_array();
@@ -509,7 +508,7 @@ bool fast_parse_request(std::string_view line, RequestParse& out) {
       } else if (key == "algorithm") {
         std::string_view name;
         if (have_algorithm || !s.string(name)) return false;
-        auto algorithm = parse_algorithm_name(std::string(name));
+        auto algorithm = parse_algorithm_name(name);
         if (!algorithm.has_value()) return false;
         request.algorithm = *algorithm;
         have_algorithm = true;

@@ -214,8 +214,7 @@ GroomingPlan plan_from_json(const JsonValue& v);
 
 /// The parts array only: [[edge ids...],...].
 void write_partition_json(JsonWriter& w, const EdgePartition& partition);
-void write_partition_json(JsonWriter& w,
-                          const std::vector<std::vector<EdgeId>>& parts);
+void write_partition_json(JsonWriter& w, const FlatParts& parts);
 
 /// Emits the incremental-provisioning payload keys into an open object:
 /// new_sadms/new_wavelengths/reused_sites/sadms/wavelengths[, plan].

@@ -237,12 +237,11 @@ void GroomingService::handle_groom(ServiceRequest& request,
 
   std::int64_t held_id = -1;
   if (request.hold) {
-    EdgePartition partition;
-    partition.k = request.k;
-    partition.parts = value->parts;
+    // The plan reads the cached parts in place; the value is shared, not
+    // copied.
     GroomingPlan plan = plan_from_partition(
         DemandSet::from_traffic_graph(request.graph), request.graph,
-        partition);
+        value->parts, request.k);
     const std::shared_ptr<DurableStore> store = store_ref();
     std::uint64_t seq = 0;
     {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 
 #include "grooming/incremental.hpp"
 #include "grooming/repair.hpp"
@@ -104,20 +105,13 @@ void write_store_meta(const std::string& dir, FsyncPolicy fsync) {
   const std::string text = w.str() + "\n";
   // Best-effort informational sidecar: recovery never reads it, so a
   // torn write here can at worst make store-dump print "unknown".
-  std::FILE* f = std::fopen((dir + "/store-meta.json").c_str(), "wb");
-  if (f == nullptr) return;
-  std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
+  std::ofstream(dir + "/store-meta.json", std::ios::binary) << text;
 }
 
 std::string read_store_meta_fsync(const std::string& dir) {
-  std::FILE* f = std::fopen((dir + "/store-meta.json").c_str(), "rb");
-  if (f == nullptr) return "";
-  std::string text(256, '\0');
-  const std::size_t got = std::fread(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  text.resize(got);
+  std::string text;
   try {
+    if (!read_file_bytes(dir + "/store-meta.json", text)) return "";
     const JsonValue doc = parse_json(text);
     const JsonValue* policy = doc.find("fsync_policy");
     if (policy != nullptr && policy->is_string()) return policy->string;

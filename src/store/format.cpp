@@ -1,6 +1,7 @@
 #include "store/format.hpp"
 
 #include <array>
+#include <fstream>
 
 #include "graph/fingerprint.hpp"
 
@@ -170,7 +171,7 @@ void encode_cache_entry(ByteWriter& w, const GroomCacheKey& key,
   w.u32(static_cast<std::uint32_t>(value.wavelengths));
   w.i64(value.lower_bound);
   w.u32(static_cast<std::uint32_t>(value.parts.size()));
-  for (const auto& part : value.parts) {
+  for (FlatParts::Part part : value.parts) {
     w.u32(static_cast<std::uint32_t>(part.size()));
     for (EdgeId e : part) w.u32(static_cast<std::uint32_t>(e));
   }
@@ -190,20 +191,32 @@ void decode_cache_entry(ByteReader& r, GroomCacheKey& key,
   if (parts > r.remaining() / 4) {
     throw StoreCorruptError("cache entry part count exceeds record size");
   }
-  value.parts.clear();
-  value.parts.reserve(parts);
+  value.parts = FlatParts();
+  value.parts.reserve(parts, 0);
+  std::vector<EdgeId> part;
   for (std::uint32_t i = 0; i < parts; ++i) {
     const std::uint32_t len = r.u32();
     if (len > r.remaining() / 4) {
       throw StoreCorruptError("cache entry part length exceeds record size");
     }
-    std::vector<EdgeId> part;
-    part.reserve(len);
+    part.clear();
     for (std::uint32_t j = 0; j < len; ++j) {
       part.push_back(static_cast<EdgeId>(r.u32()));
     }
-    value.parts.push_back(std::move(part));
+    value.parts.push_back(FlatParts::Part(part));
   }
+}
+
+bool read_file_bytes(const std::string& path, std::string& out) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return false;
+  out.resize(static_cast<std::size_t>(in.tellg()));
+  in.seekg(0);
+  in.read(out.data(), static_cast<std::streamsize>(out.size()));
+  if (static_cast<std::size_t>(in.gcount()) != out.size()) {
+    throw StoreCorruptError(path + ": short read");
+  }
+  return true;
 }
 
 void write_file_header(ByteWriter& w, std::string_view magic) {

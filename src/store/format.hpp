@@ -114,6 +114,11 @@ void encode_cache_entry(ByteWriter& w, const GroomCacheKey& key,
 void decode_cache_entry(ByteReader& r, GroomCacheKey& key,
                         GroomCacheValue& value);
 
+/// Reads the whole of `path` into `out`.  False when the file cannot be
+/// opened; a read that stops short of the size seen at open throws
+/// StoreCorruptError.
+bool read_file_bytes(const std::string& path, std::string& out);
+
 /// Shared file-header helper: magic (8 bytes) + store version +
 /// fingerprint version.  check_file_header throws StoreIncompatibleError
 /// on a version mismatch and StoreCorruptError on a magic mismatch.

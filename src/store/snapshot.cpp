@@ -1,7 +1,9 @@
 #include "store/snapshot.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #ifdef __unix__
@@ -26,13 +28,18 @@ std::string snapshot_path(const std::string& dir, std::uint64_t last_seq) {
   return dir + "/" + name;
 }
 
+// Makes the rename durable.  The caller compacts the WAL behind the new
+// snapshot next, so a directory that may not hold it on disk throws.
 void fsync_dir(const std::string& dir) {
 #ifdef __unix__
   const int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
+  TGROOM_CHECK_MSG(fd >= 0, "cannot open store dir to fsync: " + dir +
+                                ": " + std::strerror(errno));
+  const bool synced = ::fsync(fd) == 0;
+  const int saved_errno = errno;
+  ::close(fd);
+  TGROOM_CHECK_MSG(synced, "fsync of store dir failed: " + dir + ": " +
+                               std::strerror(saved_errno));
 #else
   (void)dir;
 #endif
@@ -40,20 +47,8 @@ void fsync_dir(const std::string& dir) {
 
 SnapshotData load_snapshot_file(const std::string& path) {
   std::string data;
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-      throw StoreCorruptError(path + ": cannot open snapshot");
-    }
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    data.resize(static_cast<std::size_t>(size));
-    const std::size_t got = std::fread(data.data(), 1, data.size(), f);
-    std::fclose(f);
-    if (got != data.size()) {
-      throw StoreCorruptError(path + ": short read");
-    }
+  if (!read_file_bytes(path, data)) {
+    throw StoreCorruptError(path + ": cannot open snapshot");
   }
   if (data.size() < kSnapshotHeaderBytes) {
     throw StoreCorruptError(path + ": truncated snapshot header");
@@ -143,13 +138,27 @@ std::string write_snapshot_file(const std::string& dir,
   TGROOM_CHECK_MSG(f != nullptr, "cannot create snapshot: " + tmp);
   std::size_t wrote = std::fwrite(file.str().data(), 1, file.size(), f);
   wrote += std::fwrite(body.str().data(), 1, body.size(), f);
-  std::fflush(f);
+  // The rename below publishes the snapshot and compaction then retires
+  // the WAL it covers, so every step that puts it on disk must succeed
+  // first.  The first failure is reported; none is retried.
+  const char* failed = nullptr;
+  int error = 0;
+  auto note = [&](const char* call, bool ok) {
+    if (!ok && failed == nullptr) {
+      failed = call;
+      error = errno;
+    }
+  };
+  note("fflush", std::fflush(f) == 0);
 #ifdef __unix__
-  ::fsync(fileno(f));
+  note("fsync", ::fsync(fileno(f)) == 0);
 #endif
-  std::fclose(f);
+  note("fclose", std::fclose(f) == 0);
   TGROOM_CHECK_MSG(wrote == file.size() + body.size(),
                    "short write to snapshot: " + tmp);
+  TGROOM_CHECK_MSG(failed == nullptr, std::string(failed) +
+                                          " of snapshot failed: " + tmp +
+                                          ": " + std::strerror(error));
   fs::rename(tmp, path);
   fsync_dir(dir);
   return path;

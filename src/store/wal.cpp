@@ -1,6 +1,9 @@
 #include "store/wal.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -22,12 +25,31 @@ constexpr std::size_t kPayloadMinBytes = 9;    // u64 seq + u8 type
 // writer rolls segments at a few MiB, so nothing legitimate approaches it.
 constexpr std::uint32_t kMaxPayloadBytes = 256u << 20;
 
-void fsync_stream(std::FILE* file) {
+// A failed flush, fsync or close leaves the segment's on-disk state
+// unknown, and a retried fsync can report success over pages the kernel
+// already dropped.  So the writer neither retries nor carries on: it
+// stops the process before a mutation it cannot prove durable is acked.
+[[noreturn]] void die_on_io_error(const char* call, const std::string& dir) {
+  std::fprintf(stderr, "tgroom: fatal: WAL %s failed in %s: %s\n", call,
+               dir.c_str(), std::strerror(errno));
+  std::abort();
+}
+
+void flush_or_die(std::FILE* file, const std::string& dir) {
+  if (std::fflush(file) != 0) die_on_io_error("fflush", dir);
+}
+
+void fsync_or_die(std::FILE* file, const std::string& dir) {
 #ifdef __unix__
-  ::fsync(fileno(file));
+  if (::fsync(fileno(file)) != 0) die_on_io_error("fsync", dir);
 #else
   (void)file;
+  (void)dir;
 #endif
+}
+
+void close_or_die(std::FILE* file, const std::string& dir) {
+  if (std::fclose(file) != 0) die_on_io_error("fclose", dir);
 }
 
 std::uint32_t read_u32le(const char* p) {
@@ -119,7 +141,7 @@ WalWriter::~WalWriter() {
     // Destructor: nothing sensible to do beyond closing the stream.
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ != nullptr) std::fclose(file_);
+  if (file_ != nullptr) close_or_die(file_, dir_);
   file_ = nullptr;
 }
 
@@ -160,9 +182,9 @@ void WalWriter::roll_locked(std::unique_lock<std::mutex>& lock) {
   // outside the lock, and we keep the mutex for the whole roll.
   (void)lock;
   TGROOM_DCHECK(!sync_in_progress_);
-  std::fflush(file_);
+  flush_or_die(file_, dir_);
   if (options_.fsync != FsyncPolicy::kNone) {
-    fsync_stream(file_);
+    fsync_or_die(file_, dir_);
     if (metrics_ != nullptr) {
       metrics_->fsyncs.fetch_add(1, std::memory_order_relaxed);
       const long long batch =
@@ -180,7 +202,7 @@ void WalWriter::roll_locked(std::unique_lock<std::mutex>& lock) {
     synced_seq_ = written_seq_;
     bytes_synced_total_ = bytes_written_total_;
   }
-  std::fclose(file_);
+  close_or_die(file_, dir_);
   file_ = nullptr;
   open_segment_locked(written_seq_ + 1);
   sync_cv_.notify_all();
@@ -237,8 +259,8 @@ void WalWriter::sync_to_locked(std::unique_lock<std::mutex>& lock,
   const std::uint64_t target_bytes = bytes_written_total_;
   std::FILE* file = file_;
   lock.unlock();
-  std::fflush(file);
-  fsync_stream(file);
+  flush_or_die(file, dir_);
+  fsync_or_die(file, dir_);
   lock.lock();
   sync_in_progress_ = false;
   // Rolls wait for !sync_in_progress_, so nobody advanced synced_seq_
@@ -288,7 +310,7 @@ void WalWriter::flush() {
   std::unique_lock<std::mutex> lock(mutex_);
   if (file_ == nullptr) return;
   if (options_.fsync == FsyncPolicy::kNone) {
-    std::fflush(file_);
+    flush_or_die(file_, dir_);
     return;
   }
   while (synced_seq_ < written_seq_ || bytes_synced_total_ <
@@ -306,7 +328,7 @@ void WalWriter::flush_to_os() {
   // Holding the mutex keeps file_ from being closed by a roll; stdio
   // streams are internally locked, so a concurrent group-commit leader
   // fflushing the same FILE* outside our mutex is safe.
-  if (file_ != nullptr) std::fflush(file_);
+  if (file_ != nullptr) flush_or_die(file_, dir_);
 }
 
 std::uint64_t WalWriter::last_appended_seq() const {
@@ -331,18 +353,8 @@ WalReplayStats replay_wal(
     const std::string& path = segments[si];
     const bool final_segment = (si + 1 == segments.size());
     std::string data;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      TGROOM_CHECK_MSG(f != nullptr, "cannot open WAL segment: " + path);
-      std::fseek(f, 0, SEEK_END);
-      const long size = std::ftell(f);
-      std::fseek(f, 0, SEEK_SET);
-      data.resize(static_cast<std::size_t>(size));
-      const std::size_t got = std::fread(data.data(), 1, data.size(), f);
-      std::fclose(f);
-      TGROOM_CHECK_MSG(got == data.size(),
-                       "short read from WAL segment: " + path);
-    }
+    TGROOM_CHECK_MSG(read_file_bytes(path, data),
+                     "cannot open WAL segment: " + path);
     if (data.size() < kSegmentHeaderBytes) {
       // The writer emits the 24-byte header in one buffered write, so a
       // short header means the process died before the first flush of a
@@ -468,23 +480,12 @@ WalTailStats tail_wal(
     const std::string& path = segments[si];
     const bool final_segment = (si + 1 == segments.size());
     std::string data;
-    {
-      std::FILE* f = std::fopen(path.c_str(), "rb");
-      if (f == nullptr) {
-        // Listed a moment ago but gone now: compaction retired it while
-        // we were tailing.  The records it held were <= a snapshot seq;
-        // re-polling resolves to either fresh segments or `compacted`.
-        stats.incomplete = true;
-        return stats;
-      }
-      std::fseek(f, 0, SEEK_END);
-      const long size = std::ftell(f);
-      std::fseek(f, 0, SEEK_SET);
-      data.resize(static_cast<std::size_t>(size));
-      const std::size_t got = std::fread(data.data(), 1, data.size(), f);
-      std::fclose(f);
-      TGROOM_CHECK_MSG(got == data.size(),
-                       "short read from WAL segment: " + path);
+    if (!read_file_bytes(path, data)) {
+      // Listed a moment ago but gone now: compaction retired it while
+      // we were tailing.  The records it held were <= a snapshot seq;
+      // re-polling resolves to either fresh segments or `compacted`.
+      stats.incomplete = true;
+      return stats;
     }
     if (data.size() < kSegmentHeaderBytes) {
       // The writer is still inside its first buffered flush of a fresh

@@ -19,6 +19,11 @@
 //  - kNone: data reaches the kernel only via stdio's own buffering;
 //    flush() still fflushes so a clean shutdown loses nothing.
 //
+// A failed fflush, fsync or fclose of a segment is fatal: the writer
+// prints the error to stderr and aborts, without retrying, so no sequence
+// number is marked durable (and no mutation acked) past a write the
+// kernel may have dropped.
+//
 // Replay distinguishes a *torn tail* (the machine died mid-append: the
 // final records of the final segment are short or fail CRC) from hard
 // corruption (the same damage anywhere else).  Tears are truncated away

@@ -15,7 +15,13 @@
 namespace tgroom {
 
 /// splitmix64 step; used for seeding and as a cheap standalone mixer.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// Inline so that independent chains (the fingerprint's lanes) interleave.
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256** engine with a std::uniform_random_bit_generator interface.
 class Rng {

@@ -122,5 +122,32 @@ TEST(RunAlgorithm, NamesAreStable) {
   EXPECT_EQ(figure5_algorithms().back(), AlgorithmId::kRegularEuler);
 }
 
+TEST(RunAlgorithm, EveryNameAndAliasParsesToItsId) {
+  for (AlgorithmId id : all_algorithms()) {
+    EXPECT_EQ(parse_algorithm_name(algorithm_name(id)), id);
+  }
+  const std::pair<const char*, AlgorithmId> aliases[] = {
+      {"algo1", AlgorithmId::kGoldschmidt},
+      {"Goldschmidt", AlgorithmId::kGoldschmidt},
+      {"ALGO2", AlgorithmId::kBrauner},
+      {"brauner", AlgorithmId::kBrauner},
+      {"algo3", AlgorithmId::kWangGuIcc06},
+      {"WangGu", AlgorithmId::kWangGuIcc06},
+      {"spant", AlgorithmId::kSpanTEuler},
+      {"spant_euler", AlgorithmId::kSpanTEuler},
+      {"regular", AlgorithmId::kRegularEuler},
+      {"REGULAR_EULER", AlgorithmId::kRegularEuler},
+      {"clique", AlgorithmId::kCliquePack},
+      {"cliquepack", AlgorithmId::kCliquePack},
+      {"algo3-wanggu", AlgorithmId::kWangGuIcc06},
+  };
+  for (const auto& [alias, id] : aliases) {
+    EXPECT_EQ(parse_algorithm_name(alias), id) << alias;
+  }
+  for (const char* bad : {"", "spant_", "algo", "algo4", "spant euler"}) {
+    EXPECT_FALSE(parse_algorithm_name(bad).has_value()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace tgroom

@@ -1,5 +1,5 @@
-// graph_fingerprint is a *labeled* identity: equal exactly when the CSR
-// arrays are equal.  Relabeled-isomorphic graphs must therefore collide
+// graph_fingerprint is a *labeled* identity: equal exactly when the node
+// count and the edge table are equal.  Relabeled-isomorphic graphs must therefore collide
 // only by (astronomically unlikely) accident — the cache must not treat
 // them as the same instance, because partitions are reported in edge ids.
 #include <gtest/gtest.h>
@@ -64,16 +64,45 @@ TEST(Fingerprint, VirtualEdgeFlagMatters) {
 }
 
 TEST(Fingerprint, PairwiseDistinctOverRandomFamily) {
-  // 64 random graphs: all fingerprints distinct (collision would mean the
-  // sponge is discarding structure).
+  // 64 random graphs of 65-128 edges, so every lane absorbs many words and
+  // every m mod 4 (a short tail in one to three lanes) occurs: all
+  // fingerprints distinct (a collision would mean structure is discarded).
   std::vector<std::uint64_t> seen;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     Rng rng(seed);
-    Graph g = random_dense_ratio(16, 0.3, rng);
+    Graph g = random_gnm(24, 64 + static_cast<long long>(seed), rng);
+    ASSERT_GE(g.edge_count(), 64);
     seen.push_back(graph_fingerprint(g));
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+}
+
+TEST(Fingerprint, EdgeSwapsWithinAndAcrossLanesReadDifferent) {
+  // Edge i feeds lane i mod 4.  Swapping two edges of one lane reorders
+  // that lane's chain; swapping edges of two lanes moves words between
+  // chains.  Both are different labeled graphs and must read different,
+  // including swaps that touch the tail of a graph whose m is not a
+  // multiple of 4.
+  for (long long m = 64; m < 68; ++m) {
+    Rng rng(static_cast<std::uint64_t>(m));
+    const Graph g = random_gnm(24, m, rng);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (const Edge& e : g.edges()) edges.emplace_back(e.u, e.v);
+    const std::uint64_t base = graph_fingerprint(make_graph(24, edges));
+    ASSERT_EQ(base, graph_fingerprint(g));
+    const auto last = static_cast<std::size_t>(m - 1);
+    const std::pair<std::size_t, std::size_t> swaps[] = {
+        {0, 4}, {5, 61}, {last - 4, last},  // same lane
+        {0, 1}, {6, 7}, {last - 1, last},   // different lanes
+    };
+    for (const auto& [a, b] : swaps) {
+      auto swapped = edges;
+      std::swap(swapped[a], swapped[b]);
+      EXPECT_NE(graph_fingerprint(make_graph(24, swapped)), base)
+          << "m=" << m << " swap " << a << "<->" << b;
+    }
+  }
 }
 
 TEST(Fingerprint, TopByteCarriesFormatVersion) {

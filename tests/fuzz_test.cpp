@@ -11,15 +11,19 @@
 namespace tgroom {
 namespace {
 
+// The mutations move edges between parts, so they work on nested parts
+// and the corrupted partition is rebuilt from them.
+using Parts = std::vector<std::vector<EdgeId>>;
+
 struct Mutation {
   const char* name;
   // Returns false if the mutation was not applicable to this partition.
-  bool (*apply)(Rng&, const Graph&, EdgePartition&);
+  bool (*apply)(Rng&, const Graph&, Parts&, int k);
 };
 
-bool drop_edge(Rng& rng, const Graph&, EdgePartition& p) {
-  if (p.parts.empty()) return false;
-  auto& part = p.parts[static_cast<std::size_t>(rng.below(p.parts.size()))];
+bool drop_edge(Rng& rng, const Graph&, Parts& parts, int) {
+  if (parts.empty()) return false;
+  auto& part = parts[static_cast<std::size_t>(rng.below(parts.size()))];
   if (part.size() < 2) return false;  // dropping may leave an empty part;
                                       // keep the mutation purely "missing
                                       // edge" shaped
@@ -27,39 +31,39 @@ bool drop_edge(Rng& rng, const Graph&, EdgePartition& p) {
   return true;
 }
 
-bool duplicate_edge(Rng& rng, const Graph&, EdgePartition& p) {
-  if (p.parts.size() < 2) return false;
-  std::size_t from = static_cast<std::size_t>(rng.below(p.parts.size()));
-  std::size_t to = static_cast<std::size_t>(rng.below(p.parts.size()));
-  if (from == to) to = (to + 1) % p.parts.size();
-  if (p.parts[to].size() >= static_cast<std::size_t>(p.k)) return false;
-  p.parts[to].push_back(p.parts[from].front());
+bool duplicate_edge(Rng& rng, const Graph&, Parts& parts, int k) {
+  if (parts.size() < 2) return false;
+  std::size_t from = static_cast<std::size_t>(rng.below(parts.size()));
+  std::size_t to = static_cast<std::size_t>(rng.below(parts.size()));
+  if (from == to) to = (to + 1) % parts.size();
+  if (parts[to].size() >= static_cast<std::size_t>(k)) return false;
+  parts[to].push_back(parts[from].front());
   return true;
 }
 
-bool oversize_part(Rng& rng, const Graph&, EdgePartition& p) {
-  if (p.parts.size() < 2) return false;
+bool oversize_part(Rng& rng, const Graph&, Parts& parts, int k) {
+  if (parts.size() < 2) return false;
   // Move edges from one part into another until it exceeds k.
-  std::size_t to = static_cast<std::size_t>(rng.below(p.parts.size()));
-  std::size_t from = (to + 1) % p.parts.size();
-  while (p.parts[to].size() <= static_cast<std::size_t>(p.k)) {
-    if (p.parts[from].empty()) return false;
-    p.parts[to].push_back(p.parts[from].back());
-    p.parts[from].pop_back();
+  std::size_t to = static_cast<std::size_t>(rng.below(parts.size()));
+  std::size_t from = (to + 1) % parts.size();
+  while (parts[to].size() <= static_cast<std::size_t>(k)) {
+    if (parts[from].empty()) return false;
+    parts[to].push_back(parts[from].back());
+    parts[from].pop_back();
   }
-  if (p.parts[from].empty()) p.parts.erase(p.parts.begin() + static_cast<long>(from));
+  if (parts[from].empty()) parts.erase(parts.begin() + static_cast<long>(from));
   return true;
 }
 
-bool bogus_edge_id(Rng& rng, const Graph& g, EdgePartition& p) {
-  if (p.parts.empty()) return false;
-  auto& part = p.parts[static_cast<std::size_t>(rng.below(p.parts.size()))];
+bool bogus_edge_id(Rng& rng, const Graph& g, Parts& parts, int) {
+  if (parts.empty()) return false;
+  auto& part = parts[static_cast<std::size_t>(rng.below(parts.size()))];
   part.back() = g.edge_count() + 5;
   return true;
 }
 
-bool empty_part(Rng&, const Graph&, EdgePartition& p) {
-  p.parts.emplace_back();
+bool empty_part(Rng&, const Graph&, Parts& parts, int) {
+  parts.emplace_back();
   return true;
 }
 
@@ -79,8 +83,11 @@ TEST_P(FuzzPartitionP, CorruptionsAreAlwaysRejected) {
       {"empty_part", empty_part},
   };
   for (const Mutation& mutation : mutations) {
-    EdgePartition corrupted = valid;
-    if (!mutation.apply(rng, g, corrupted)) continue;
+    Parts parts = valid.parts.to_nested();
+    if (!mutation.apply(rng, g, parts, valid.k)) continue;
+    EdgePartition corrupted;
+    corrupted.k = valid.k;
+    corrupted.parts = FlatParts::from_nested(parts);
     EXPECT_FALSE(validate_partition(g, corrupted).ok) << mutation.name;
   }
 }

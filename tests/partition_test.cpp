@@ -55,12 +55,13 @@ TEST(SadmCost, StampedCountEqualsSpannedNodeSum) {
     for (std::size_t i = 0; i < ids.size();) {
       const auto size = static_cast<std::size_t>(rng.uniform_int(1, k));
       const std::size_t end = std::min(ids.size(), i + size);
-      p.parts.emplace_back(ids.begin() + static_cast<long>(i),
-                           ids.begin() + static_cast<long>(end));
+      p.parts.push_back(FlatParts::Part(ids.data() + i, end - i));
       i = end;
     }
     long long spanned = 0;
-    for (const auto& part : p.parts) spanned += spanned_node_count(g, part);
+    for (FlatParts::Part part : p.parts) {
+      spanned += spanned_node_count(g, {part.begin(), part.end()});
+    }
     const CsrGraph csr(g);
     EXPECT_EQ(sadm_cost(g, p), spanned);
     EXPECT_EQ(sadm_cost(csr, p), spanned);

@@ -4,6 +4,7 @@
 // the n = 10^5 Proposition 2 property check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "algo/components.hpp"
@@ -50,7 +51,7 @@ Graph interleaved_rings(NodeId per_ring, int rings) {
 void expect_partitions_equal(const EdgePartition& a, const EdgePartition& b) {
   ASSERT_EQ(a.parts.size(), b.parts.size());
   for (std::size_t i = 0; i < a.parts.size(); ++i) {
-    EXPECT_EQ(a.parts[i], b.parts[i]) << "part " << i;
+    EXPECT_TRUE(std::ranges::equal(a.parts[i], b.parts[i])) << "part " << i;
   }
 }
 

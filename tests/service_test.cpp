@@ -114,7 +114,7 @@ Graph test_graph(NodeId n, double density, std::uint64_t seed) {
   return random_traffic(n, density, rng).traffic_graph();
 }
 
-std::vector<std::vector<EdgeId>> parts_from_json(const JsonValue& v) {
+FlatParts parts_from_json(const JsonValue& v) {
   EXPECT_TRUE(v.is_array());
   std::vector<std::vector<EdgeId>> parts;
   for (const JsonValue& part : v.array) {
@@ -125,7 +125,7 @@ std::vector<std::vector<EdgeId>> parts_from_json(const JsonValue& v) {
     }
     parts.push_back(std::move(edges));
   }
-  return parts;
+  return FlatParts::from_nested(parts);
 }
 
 // ------------------------------------------------------------ unit pieces
@@ -196,7 +196,7 @@ TEST(PlanCache, HitSharesThePayloadInsteadOfCopying) {
   // Both hits hand back the same immutable object — a refcount bump, not
   // a deep copy of the partition payload.
   EXPECT_EQ(first.get(), second.get());
-  EXPECT_EQ(first->parts.data(), second->parts.data());
+  EXPECT_EQ(first->parts.ids().data(), second->parts.ids().data());
   EXPECT_EQ(first->parts[0].data(), second->parts[0].data());
 
   // The pointee outlives eviction: overflow the cache, then read through

@@ -4,6 +4,7 @@
 #include "graph/properties.hpp"
 #include "partition/cover_transform.hpp"
 #include "partition/skeleton.hpp"
+#include "util/rng.hpp"
 
 namespace tgroom {
 namespace {
@@ -103,6 +104,58 @@ TEST(Skeleton, ClosedWalkBackbone) {
   Skeleton s = Skeleton::from_walk(walk);
   EXPECT_TRUE(s.validate(g));
   EXPECT_EQ(s.size(), 4u);
+}
+
+TEST(ArenaSkeleton, FlatBranchesKeepTheCanonicalOrder) {
+  // Random covers whose branches attach in scrambled position order:
+  // every arena skeleton's counting-sort order must equal the nested
+  // heap skeleton built by the same calls, and its own to_skeleton()
+  // copy; the two partition_from_cover overloads must agree.
+  Rng rng(77);
+  for (int trial = 0; trial < 50; ++trial) {
+    MonotonicArena arena;
+    ArenaSkeletonCover cover{ArenaAllocator<ArenaSkeleton>(&arena)};
+    SkeletonCover heap_cover;
+    EdgeId next_edge = 0;
+    const auto skeletons = rng.uniform_int(1, 6);
+    for (long long sk = 0; sk < skeletons; ++sk) {
+      // Backbone edge ids and node ids are arbitrary here: the canonical
+      // order depends only on positions and attachment order.
+      const auto length = static_cast<std::size_t>(rng.uniform_int(0, 12));
+      ArenaWalk walk(&arena);
+      Walk heap_walk;
+      for (std::size_t pos = 0; pos <= length; ++pos) {
+        walk.nodes.push_back(static_cast<NodeId>(pos));
+        heap_walk.nodes.push_back(static_cast<NodeId>(pos));
+      }
+      for (std::size_t i = 0; i < length; ++i) {
+        walk.edges.push_back(next_edge);
+        heap_walk.edges.push_back(next_edge++);
+      }
+      ArenaSkeleton arena_skeleton =
+          ArenaSkeleton::from_walk(std::move(walk), &arena);
+      Skeleton heap_skeleton = Skeleton::from_walk(std::move(heap_walk));
+      const auto branches = rng.uniform_int(0, 20);
+      for (long long b = 0; b < branches; ++b) {
+        const auto pos = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<long long>(length)));
+        arena_skeleton.add_branch(pos, next_edge);
+        heap_skeleton.add_branch(pos, next_edge++);
+      }
+      std::vector<EdgeId> order(arena_skeleton.size());
+      arena_skeleton.write_canonical_order(order.data(), arena);
+      EXPECT_EQ(order, heap_skeleton.canonical_order());
+      EXPECT_EQ(order, arena_skeleton.to_skeleton().canonical_order());
+      cover.push_back(std::move(arena_skeleton));
+      heap_cover.push_back(std::move(heap_skeleton));
+    }
+    Graph g(2);
+    for (EdgeId e = 0; e < next_edge; ++e) g.add_edge(0, 1);
+    const CsrGraph csr(g);
+    const int k = static_cast<int>(rng.uniform_int(1, 9));
+    EXPECT_EQ(partition_from_cover(csr, cover, k, arena).parts,
+              partition_from_cover(g, heap_cover, k).parts);
+  }
 }
 
 TEST(Proposition1, SplitsAtEveryPoint) {

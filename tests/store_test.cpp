@@ -6,10 +6,12 @@
 // StoreConcurrency suite so the TSan job can include them by regex.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -536,6 +538,82 @@ TEST(StoreWal, VersionMismatchIsIncompatibleNotCorrupt) {
     data[offset] = static_cast<char>(data[offset] - 1);
     write_file(segs[0], data);
   }
+}
+
+TEST(StoreWal, FingerprintV1SegmentIsIncompatible) {
+  // Version 1 fingerprints absorbed the CSR arrays as well; their cache
+  // keys mean nothing to a version 2 build, so such a store is refused.
+  ASSERT_EQ(kFingerprintFormatVersion, 2);
+  TempDir dir;
+  {
+    WalWriter wal(dir.str(), 1, WalOptions{}, nullptr);
+    wal.append(WalRecordType::kProvision, "a");
+    wal.flush();
+  }
+  const std::vector<std::string> segs = list_wal_segments(dir.str());
+  ASSERT_EQ(segs.size(), 1u);
+  std::string data = read_file(segs[0]);
+  data[12] = 1;  // fp_version, little-endian u32 at [12,16)
+  write_file(segs[0], data);
+  EXPECT_THROW(
+      replay_wal(dir.str(), 0,
+                 [](std::uint64_t, WalRecordType, std::string_view) {},
+                 true),
+      StoreIncompatibleError);
+}
+
+// Caps the size of files this process may write, so the next write that
+// reaches the disk fails with EFBIG (SIGXFSZ is ignored).  Death tests
+// call it in their child process only.
+void cap_file_size(rlim_t bytes) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  const rlimit limit{bytes, bytes};
+  if (setrlimit(RLIMIT_FSIZE, &limit) != 0) std::_Exit(3);
+}
+
+TEST(StoreIoErrorDeathTest, FailedWalFlushIsFatal) {
+  // No retry and no ack: the writer stops the process at the first
+  // failed flush of a segment, under every fsync policy.
+  for (const FsyncPolicy policy :
+       {FsyncPolicy::kNone, FsyncPolicy::kBatch, FsyncPolicy::kAlways}) {
+    TempDir dir;
+    WalOptions options;
+    options.fsync = policy;
+    EXPECT_DEATH(
+        {
+          WalWriter wal(dir.str(), 1, options, nullptr);
+          // Room for the death message in gtest's stderr capture file,
+          // not for the segment's header plus this record.
+          cap_file_size(256);
+          wal.sync(wal.append(WalRecordType::kProvision,
+                              std::string(400, 'x')));
+          wal.flush();
+        },
+        "fatal: WAL fflush failed")
+        << fsync_policy_name(policy);
+  }
+}
+
+TEST(StoreIoErrorDeathTest, FailedSnapshotFlushThrowsBeforeRename) {
+  TempDir dir;
+  SnapshotData snap;
+  snap.last_seq = 5;
+  snap.next_plan_id = 1;
+  EXPECT_EXIT(
+      {
+        cap_file_size(8);
+        try {
+          write_snapshot_file(dir.str(), snap);
+        } catch (const CheckError& e) {
+          const bool named =
+              std::string(e.what()).find("fflush of snapshot failed") !=
+              std::string::npos;
+          std::_Exit(named && list_snapshot_files(dir.str()).empty() ? 0
+                                                                     : 2);
+        }
+        std::_Exit(1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // ------------------------------------------------------------ snapshots
