@@ -219,13 +219,11 @@ int main(int argc, char** argv) {
       Stopwatch forest_watch;
       spanning_forest(pw.csr, options.tree_policy, &rng, pw.tree, &pw.arena);
       row.forest_seconds = forest_watch.elapsed_seconds();
-      for (EdgeId e : pw.tree) pw.in_tree[static_cast<std::size_t>(e)] = 1;
-      for (EdgeId e = 0; e < pw.csr.edge_count(); ++e) {
-        pw.cotree[static_cast<std::size_t>(e)] =
-            pw.in_tree[static_cast<std::size_t>(e)] ? 0 : 1;
+      for (NodeId v = 0; v < n; ++v) {
+        if (pw.csr.degree(v) % 2 == 1) parity_flip(pw.odd_parity, v);
       }
-      for (EdgeId e = 0; e < pw.csr.edge_count(); ++e) {
-        if (!pw.cotree[static_cast<std::size_t>(e)]) continue;
+      for (EdgeId e : pw.tree) {
+        pw.in_tree[static_cast<std::size_t>(e)] = 1;
         const Edge& edge = pw.csr.edge(e);
         parity_flip(pw.odd_parity, edge.u);
         parity_flip(pw.odd_parity, edge.v);
@@ -235,14 +233,17 @@ int main(int argc, char** argv) {
       odd_subtree_edges_parity(pw.csr, pw.forest, pw.odd_parity, pw.e_odd,
                                &pw.arena);
       row.parity_seconds = parity_watch.elapsed_seconds();
-      std::copy(pw.cotree.begin(), pw.cotree.end(), pw.g2_mask.begin());
+      for (std::size_t e = 0; e < pw.in_tree.size(); ++e) {
+        pw.g2_mask[e] = pw.in_tree[e] ^ 1;
+      }
       for (EdgeId e : pw.e_odd) pw.g2_mask[static_cast<std::size_t>(e)] = 1;
 
       std::uint64_t materialized = 1469598103934665603ull;
       {
         MonotonicArena arena;
         Stopwatch euler_watch;
-        ArenaWalkList walks = euler_decomposition(pw.csr, pw.g2_mask, arena);
+        ArenaWalkList walks = euler_decomposition(pw.csr, pw.g2_mask, arena,
+                                                  MaskDegrees::kAllEven);
         row.euler_seconds = euler_watch.elapsed_seconds();
         for (const ArenaWalk& walk : walks) {
           materialized = walk_checksum(materialized, walk);
@@ -253,9 +254,11 @@ int main(int argc, char** argv) {
       {
         MonotonicArena arena;
         euler_decomposition_stream(
-            pw.csr, pw.g2_mask, arena, [&streamed](const ArenaWalk& walk) {
+            pw.csr, pw.g2_mask, arena,
+            [&streamed](const ArenaWalk& walk) {
               streamed = walk_checksum(streamed, walk);
-            });
+            },
+            MaskDegrees::kAllEven);
         row.euler_stream_peak_bytes = arena.peak_bytes();
       }
       if (streamed != materialized) {

@@ -61,11 +61,26 @@ struct ArenaWalk {
 
 using ArenaWalkList = ArenaVector<ArenaWalk>;
 
+/// What the caller knows about the masked degrees; it picks how each
+/// walk's start is found, never which walks come out.
+enum class MaskDegrees {
+  /// Components may have two odd-degree nodes: one labelling BFS finds
+  /// each component and its start (an odd node if it has one).
+  kAny,
+  /// Every masked degree is even (SpanT_Euler's G'' by Lemma 4,
+  /// Regular_Euler's G - M for a perfect M): each walk starts at the
+  /// lowest node that still has an unused masked edge, which is the start
+  /// and the order the labelling would pick, so no labelling runs.  The
+  /// walks are checked to close, so an odd mask throws CheckError.
+  kAllEven,
+};
+
 /// Decomposition identical walk-for-walk to the heap overloads, with every
 /// temporary and every walk drawn from `arena` — the grooming hot path.
 ArenaWalkList euler_decomposition(const CsrGraph& g,
                                   const std::vector<char>& edge_mask,
-                                  MonotonicArena& arena);
+                                  MonotonicArena& arena,
+                                  MaskDegrees degrees = MaskDegrees::kAny);
 
 /// Consumer for euler_decomposition_stream: invoked once per walk, in walk
 /// order.  The walk references a buffer that is REUSED for the next walk,
@@ -76,13 +91,14 @@ using WalkConsumer = std::function<void(const ArenaWalk& walk)>;
 /// order) the materializing overloads return, but through `consume` with a
 /// single reused buffer instead of a walk list.  Peak arena footprint
 /// drops from O(Σ walk length) = O(m) to O(longest walk) + the O(n + m)
-/// cursor/used scratch — on multi-component instances (many rings) the
-/// walk storage is the dominant term, and this is the memory-bound path
-/// bench_scale measures (DESIGN.md §16).
+/// cursor/avail/stack scratch — on multi-component instances (many rings)
+/// the walk storage is the dominant term, and this is the memory-bound
+/// path bench_scale measures (DESIGN.md §16).
 void euler_decomposition_stream(const CsrGraph& g,
                                 const std::vector<char>& edge_mask,
                                 MonotonicArena& arena,
-                                const WalkConsumer& consume);
+                                const WalkConsumer& consume,
+                                MaskDegrees degrees = MaskDegrees::kAny);
 
 /// Checks walk consistency: edge endpoints match consecutive nodes and no
 /// edge repeats.

@@ -104,27 +104,16 @@ std::vector<long long> subtree_sums(const RootedForest& forest,
 
 namespace {
 
-void odd_subtree_edges_into(const RootedForest& forest,
-                            const std::vector<long long>& weight,
-                            std::vector<EdgeId>& odd_edges,
-                            MonotonicArena* arena) {
-  TGROOM_CHECK(weight.size() == forest.parent.size());
-  ArenaVector<long long> total(weight.begin(), weight.end(),
-                               ArenaAllocator<long long>(arena));
-  for (auto it = forest.preorder.rbegin(); it != forest.preorder.rend();
-       ++it) {
-    NodeId v = *it;
-    NodeId p = forest.parent[static_cast<std::size_t>(v)];
-    if (p != kInvalidNode) {
-      total[static_cast<std::size_t>(p)] += total[static_cast<std::size_t>(v)];
-    }
-  }
-  odd_edges.clear();
+std::vector<EdgeId> odd_subtree_edges_impl(
+    const RootedForest& forest, const std::vector<long long>& weight) {
+  const std::vector<long long> total = subtree_sums(forest, weight);
+  std::vector<EdgeId> odd_edges;
   for (NodeId v = 0; v < static_cast<NodeId>(forest.parent.size()); ++v) {
     EdgeId pe = forest.parent_edge[static_cast<std::size_t>(v)];
     if (pe == kInvalidEdge) continue;
     if (total[static_cast<std::size_t>(v)] % 2 != 0) odd_edges.push_back(pe);
   }
+  return odd_edges;
 }
 
 }  // namespace
@@ -169,25 +158,14 @@ std::vector<EdgeId> odd_subtree_edges(const Graph& g,
                                       const RootedForest& forest,
                                       const std::vector<long long>& weight) {
   (void)g;
-  std::vector<EdgeId> odd_edges;
-  odd_subtree_edges_into(forest, weight, odd_edges, nullptr);
-  return odd_edges;
+  return odd_subtree_edges_impl(forest, weight);
 }
 
 std::vector<EdgeId> odd_subtree_edges(const CsrGraph& g,
                                       const RootedForest& forest,
                                       const std::vector<long long>& weight) {
   (void)g;
-  std::vector<EdgeId> odd_edges;
-  odd_subtree_edges_into(forest, weight, odd_edges, nullptr);
-  return odd_edges;
-}
-
-void odd_subtree_edges(const CsrGraph& g, const RootedForest& forest,
-                       const std::vector<long long>& weight,
-                       std::vector<EdgeId>& out, MonotonicArena* arena) {
-  (void)g;
-  odd_subtree_edges_into(forest, weight, out, arena);
+  return odd_subtree_edges_impl(forest, weight);
 }
 
 }  // namespace tgroom

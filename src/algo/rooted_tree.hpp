@@ -47,12 +47,6 @@ std::vector<EdgeId> odd_subtree_edges(const CsrGraph& g,
                                       const RootedForest& forest,
                                       const std::vector<long long>& weight);
 
-/// Same edge set appended to a cleared `out`, subtree totals drawn from
-/// `arena` when given.
-void odd_subtree_edges(const CsrGraph& g, const RootedForest& forest,
-                       const std::vector<long long>& weight,
-                       std::vector<EdgeId>& out, MonotonicArena* arena);
-
 /// Number of 64-bit words a packed per-node parity bitset needs.
 inline std::size_t parity_word_count(std::size_t node_count) {
   return (node_count + 63) / 64;

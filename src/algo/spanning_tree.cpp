@@ -28,6 +28,8 @@ namespace {
 // the allocator's fallback) and appends tree edges to `tree`; visit order
 // is identical to the classic queue/stack forms, so outputs are unchanged.
 
+// Returns as soon as the frontier holds all n nodes: the rest of the sweep
+// could only scan incidences of visited nodes, so the tree is the same.
 template <typename G>
 void bfs_forest_into(const G& g, std::vector<EdgeId>& tree,
                      MonotonicArena* arena) {
@@ -47,6 +49,7 @@ void bfs_forest_into(const G& g, std::vector<EdgeId>& tree,
         visited[static_cast<std::size_t>(inc.neighbor)] = 1;
         tree.push_back(inc.edge);
         frontier.push_back(inc.neighbor);
+        if (frontier.size() == n) return;
       }
     }
   }

@@ -33,17 +33,19 @@ ArenaSkeletonCover build_cover(const CsrGraph& csr, GroomingWorkspace& ws,
 
   Rng rng(options.seed);
   spanning_forest(csr, options.tree_policy, &rng, ws.tree, &arena);
-  for (EdgeId e : ws.tree) ws.in_tree[static_cast<std::size_t>(e)] = 1;
 
-  // G\T mask and the parity of each node's degree in it, kept as a packed
-  // bitset (the odd/even status is all Lemma 4 needs, so neither the full
-  // degree array nor a per-node counter ever materializes).
-  for (EdgeId e = 0; e < csr.edge_count(); ++e) {
-    ws.cotree[static_cast<std::size_t>(e)] =
-        ws.in_tree[static_cast<std::size_t>(e)] ? 0 : 1;
+  // Each node's degree in G\T is its degree in G minus its tree degree, so
+  // its parity (all Lemma 4 needs) is the G parity with one flip per tree
+  // endpoint: O(n), without a pass over the cotree edges.  Kept as a
+  // packed bitset.
+  const auto n = static_cast<std::size_t>(csr.node_count());
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto bit = static_cast<std::uint64_t>(
+        csr.degree(static_cast<NodeId>(v)) & 1);
+    ws.odd_parity[v >> 6] |= bit << (v & 63);
   }
-  for (EdgeId e = 0; e < csr.edge_count(); ++e) {
-    if (!ws.cotree[static_cast<std::size_t>(e)]) continue;
+  for (EdgeId e : ws.tree) {
+    ws.in_tree[static_cast<std::size_t>(e)] = 1;
     const Edge& edge = csr.edge(e);
     parity_flip(ws.odd_parity, edge.u);
     parity_flip(ws.odd_parity, edge.v);
@@ -53,11 +55,14 @@ ArenaSkeletonCover build_cover(const CsrGraph& csr, GroomingWorkspace& ws,
   root_forest(csr, ws.tree, ws.forest, &arena);
   odd_subtree_edges_parity(csr, ws.forest, ws.odd_parity, ws.e_odd, &arena);
 
-  // G'' = E_odd ∪ (E \ T): all degrees even by the Lemma 4 parity argument.
-  std::copy(ws.cotree.begin(), ws.cotree.end(), ws.g2_mask.begin());
+  // G'' = E_odd ∪ (E \ T): all degrees even by the Lemma 4 parity
+  // argument, so the Euler walks need no component labelling.
+  const auto m = static_cast<std::size_t>(csr.edge_count());
+  for (std::size_t e = 0; e < m; ++e) ws.g2_mask[e] = ws.in_tree[e] ^ 1;
   for (EdgeId e : ws.e_odd) ws.g2_mask[static_cast<std::size_t>(e)] = 1;
 
-  ArenaWalkList walks = euler_decomposition(csr, ws.g2_mask, arena);
+  ArenaWalkList walks =
+      euler_decomposition(csr, ws.g2_mask, arena, MaskDegrees::kAllEven);
 
   // Backbones: one skeleton per Euler tour; record the first backbone
   // position of every node for branch attachment.
@@ -149,6 +154,10 @@ EdgePartition spant_euler(const CsrGraph& g, int k,
   if (trace) {
     trace->tree = ws.tree;
     trace->e_odd = ws.e_odd;
+    ws.cotree.resize(ws.in_tree.size());
+    for (std::size_t e = 0; e < ws.in_tree.size(); ++e) {
+      ws.cotree[e] = ws.in_tree[e] ^ 1;
+    }
     trace->g2_component_count =
         connected_components_masked(g, ws.cotree).count;
     trace->cover_size = cover.size();
