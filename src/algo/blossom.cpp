@@ -1,7 +1,7 @@
 #include "algo/blossom.hpp"
 
+#include <algorithm>
 #include <numeric>
-#include <queue>
 
 namespace tgroom {
 
@@ -9,14 +9,26 @@ namespace {
 
 // Classic array-based blossom contraction (after Edmonds; formulation as in
 // competitive-programming folklore, e.g. e-maxx).  All ids are node ids.
+// G is Graph or CsrGraph: both list a node's incidences in ascending edge
+// id order, so both find the same matching.
+template <typename G>
 class BlossomSolver {
  public:
-  explicit BlossomSolver(const Graph& g)
-      : g_(g), n_(static_cast<std::size_t>(g.node_count())) {
-    match_.assign(n_, kInvalidNode);
+  BlossomSolver(const G& g, MonotonicArena* arena)
+      : g_(g),
+        n_(static_cast<std::size_t>(g.node_count())),
+        match_(n_, kInvalidNode, ArenaAllocator<NodeId>(arena)),
+        parent_(n_, kInvalidNode, ArenaAllocator<NodeId>(arena)),
+        base_(n_, 0, ArenaAllocator<NodeId>(arena)),
+        queue_(ArenaAllocator<NodeId>(arena)),
+        in_forest_(n_, 0, ArenaAllocator<char>(arena)),
+        in_blossom_(n_, 0, ArenaAllocator<char>(arena)),
+        on_path_(n_, 0, ArenaAllocator<char>(arena)) {
+    queue_.reserve(n_);
   }
 
-  std::vector<NodeId> solve() {
+  /// Node-indexed mates (kInvalidNode when unmatched).
+  const ArenaVector<NodeId>& solve() {
     // Greedy warm start halves the number of augmenting phases.
     for (NodeId v = 0; v < g_.node_count(); ++v) {
       if (match_[static_cast<std::size_t>(v)] != kInvalidNode) continue;
@@ -46,11 +58,11 @@ class BlossomSolver {
 
  private:
   NodeId lca(NodeId a, NodeId b) {
-    std::vector<char> on_path(n_, 0);
+    std::fill(on_path_.begin(), on_path_.end(), 0);
     NodeId x = a;
     while (true) {
       x = base_[static_cast<std::size_t>(x)];
-      on_path[static_cast<std::size_t>(x)] = 1;
+      on_path_[static_cast<std::size_t>(x)] = 1;
       if (match_[static_cast<std::size_t>(x)] == kInvalidNode) break;
       x = parent_[static_cast<std::size_t>(
           match_[static_cast<std::size_t>(x)])];
@@ -58,7 +70,7 @@ class BlossomSolver {
     NodeId y = b;
     while (true) {
       y = base_[static_cast<std::size_t>(y)];
-      if (on_path[static_cast<std::size_t>(y)]) return y;
+      if (on_path_[static_cast<std::size_t>(y)]) return y;
       y = parent_[static_cast<std::size_t>(
           match_[static_cast<std::size_t>(y)])];
     }
@@ -80,17 +92,18 @@ class BlossomSolver {
   /// BFS from an exposed root; returns an exposed node whose parent chain
   /// encodes an augmenting path, or kInvalidNode.
   NodeId find_augmenting_path(NodeId root) {
-    in_forest_.assign(n_, 0);
-    parent_.assign(n_, kInvalidNode);
-    base_.resize(n_);
+    std::fill(in_forest_.begin(), in_forest_.end(), 0);
+    std::fill(parent_.begin(), parent_.end(), kInvalidNode);
     std::iota(base_.begin(), base_.end(), NodeId{0});
 
     in_forest_[static_cast<std::size_t>(root)] = 1;
-    std::queue<NodeId> q;
-    q.push(root);
-    while (!q.empty()) {
-      NodeId v = q.front();
-      q.pop();
+    // FIFO as a flat array with a read head: std::queue's visit order
+    // without a deque allocation per search.
+    queue_.clear();
+    std::size_t head = 0;
+    queue_.push_back(root);
+    while (head < queue_.size()) {
+      NodeId v = queue_[head++];
       for (const Incidence& inc : g_.incident(v)) {
         if (g_.edge(inc.edge).is_virtual) continue;
         const NodeId to = inc.neighbor;
@@ -105,7 +118,7 @@ class BlossomSolver {
                  match_[static_cast<std::size_t>(to)])] != kInvalidNode)) {
           // Odd cycle: contract the blossom.
           NodeId blossom_base = lca(v, to);
-          in_blossom_.assign(n_, 0);
+          std::fill(in_blossom_.begin(), in_blossom_.end(), 0);
           mark_path(v, blossom_base, to);
           mark_path(to, blossom_base, v);
           for (NodeId i = 0; i < g_.node_count(); ++i) {
@@ -114,7 +127,7 @@ class BlossomSolver {
               base_[static_cast<std::size_t>(i)] = blossom_base;
               if (!in_forest_[static_cast<std::size_t>(i)]) {
                 in_forest_[static_cast<std::size_t>(i)] = 1;
-                q.push(i);
+                queue_.push_back(i);
               }
             }
           }
@@ -123,7 +136,7 @@ class BlossomSolver {
           NodeId mate = match_[static_cast<std::size_t>(to)];
           if (mate == kInvalidNode) return to;  // augmenting path found
           in_forest_[static_cast<std::size_t>(mate)] = 1;
-          q.push(mate);
+          queue_.push_back(mate);
         }
       }
     }
@@ -132,22 +145,20 @@ class BlossomSolver {
 
   // Neighbours are read straight from g_'s incidence lists, skipping
   // virtual edges: the same per-node order (ascending edge id) a copied
-  // adjacency list would have, without its per-node allocations.
-  const Graph& g_;
+  // adjacency list would have, without its per-node allocations.  Scratch
+  // lives on the arena when one is given (heap otherwise).
+  const G& g_;
   std::size_t n_;
-  std::vector<NodeId> match_, parent_, base_;
-  std::vector<char> in_forest_, in_blossom_;
+  ArenaVector<NodeId> match_, parent_, base_, queue_;
+  ArenaVector<char> in_forest_, in_blossom_, on_path_;
 };
 
-}  // namespace
-
-std::vector<NodeId> maximum_matching_mates(const Graph& g) {
-  return BlossomSolver(g).solve();
-}
-
-std::vector<EdgeId> maximum_matching(const Graph& g) {
-  std::vector<NodeId> mates = maximum_matching_mates(g);
-  std::vector<EdgeId> edges;
+template <typename G>
+void maximum_matching_into(const G& g, std::vector<EdgeId>& edges,
+                           MonotonicArena* arena) {
+  BlossomSolver<G> solver(g, arena);
+  const ArenaVector<NodeId>& mates = solver.solve();
+  edges.clear();
   for (NodeId v = 0; v < g.node_count(); ++v) {
     NodeId mate = mates[static_cast<std::size_t>(v)];
     if (mate == kInvalidNode || mate < v) continue;
@@ -162,7 +173,25 @@ std::vector<EdgeId> maximum_matching(const Graph& g) {
     TGROOM_CHECK(found != kInvalidEdge);
     edges.push_back(found);
   }
+}
+
+}  // namespace
+
+std::vector<NodeId> maximum_matching_mates(const Graph& g) {
+  BlossomSolver<Graph> solver(g, nullptr);
+  const ArenaVector<NodeId>& mates = solver.solve();
+  return std::vector<NodeId>(mates.begin(), mates.end());
+}
+
+std::vector<EdgeId> maximum_matching(const Graph& g) {
+  std::vector<EdgeId> edges;
+  maximum_matching_into(g, edges, nullptr);
   return edges;
+}
+
+void maximum_matching(const CsrGraph& g, std::vector<EdgeId>& out,
+                      MonotonicArena* arena) {
+  maximum_matching_into(g, out, arena);
 }
 
 }  // namespace tgroom

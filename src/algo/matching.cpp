@@ -21,7 +21,10 @@ const char* matching_policy_name(MatchingPolicy policy) {
   return "?";
 }
 
-std::vector<EdgeId> greedy_matching(const Graph& g, Rng* rng) {
+namespace {
+
+template <typename G>
+std::vector<EdgeId> greedy_matching_impl(const G& g, Rng* rng) {
   std::vector<EdgeId> order(static_cast<std::size_t>(g.edge_count()));
   std::iota(order.begin(), order.end(), EdgeId{0});
   if (rng) rng->shuffle(order);
@@ -40,8 +43,8 @@ std::vector<EdgeId> greedy_matching(const Graph& g, Rng* rng) {
   return matching;
 }
 
-namespace {
-std::vector<EdgeId> color_class_matching(const Graph& g) {
+template <typename G>
+std::vector<EdgeId> color_class_matching(const G& g) {
   EdgeColoring coloring = misra_gries_edge_coloring(g);
   // Bucket real edges by color and return the largest bucket; each color
   // class of a proper edge coloring is a matching.
@@ -56,13 +59,18 @@ std::vector<EdgeId> color_class_matching(const Graph& g) {
   }
   return best;
 }
+
 }  // namespace
+
+std::vector<EdgeId> greedy_matching(const Graph& g, Rng* rng) {
+  return greedy_matching_impl(g, rng);
+}
 
 std::vector<EdgeId> find_matching(const Graph& g, MatchingPolicy policy,
                                   Rng* rng) {
   switch (policy) {
     case MatchingPolicy::kGreedy:
-      return greedy_matching(g, rng);
+      return greedy_matching_impl(g, rng);
     case MatchingPolicy::kBlossom:
       return maximum_matching(g);
     case MatchingPolicy::kColorClass:
@@ -70,6 +78,22 @@ std::vector<EdgeId> find_matching(const Graph& g, MatchingPolicy policy,
   }
   TGROOM_CHECK_MSG(false, "unknown matching policy");
   return {};
+}
+
+void find_matching(const CsrGraph& g, MatchingPolicy policy, Rng* rng,
+                   std::vector<EdgeId>& out, MonotonicArena* arena) {
+  switch (policy) {
+    case MatchingPolicy::kGreedy:
+      out = greedy_matching_impl(g, rng);
+      return;
+    case MatchingPolicy::kBlossom:
+      maximum_matching(g, out, arena);
+      return;
+    case MatchingPolicy::kColorClass:
+      out = color_class_matching(g);
+      return;
+  }
+  TGROOM_CHECK_MSG(false, "unknown matching policy");
 }
 
 bool is_matching(const Graph& g, const std::vector<EdgeId>& edges) {

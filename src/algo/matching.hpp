@@ -12,7 +12,9 @@
 
 #include <vector>
 
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace tgroom {
@@ -22,9 +24,17 @@ enum class MatchingPolicy { kGreedy, kBlossom, kColorClass };
 const char* matching_policy_name(MatchingPolicy policy);
 
 /// Edge ids of a matching under the chosen policy.  Virtual edges are
-/// ignored.  `rng` randomizes the greedy scan order when provided.
+/// ignored.  `rng` randomizes the greedy scan order when provided.  Both
+/// overloads return the same matching for the same edge list.
 std::vector<EdgeId> find_matching(const Graph& g, MatchingPolicy policy,
                                   Rng* rng = nullptr);
+
+/// The same matching for the same edge list, written into `out` (cleared
+/// first, capacity retained).  kBlossom draws its scratch from `arena`
+/// when given, the zero-allocation form the grooming hot path uses; the
+/// other policies still allocate internally.
+void find_matching(const CsrGraph& g, MatchingPolicy policy, Rng* rng,
+                   std::vector<EdgeId>& out, MonotonicArena* arena);
 
 /// Maximal matching by greedy scan (edge id order, or shuffled with rng).
 std::vector<EdgeId> greedy_matching(const Graph& g, Rng* rng = nullptr);

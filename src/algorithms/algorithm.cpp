@@ -129,7 +129,7 @@ EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
                                      workspace);
       break;
     case AlgorithmId::kRegularEuler:
-      partition = regular_euler(traffic_graph, k, options);
+      partition = regular_euler(traffic_graph, k, options, nullptr, workspace);
       break;
     case AlgorithmId::kCliquePack:
       partition = clique_pack(traffic_graph, k, options);
@@ -142,8 +142,13 @@ EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
 EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
                             int k, const GroomingOptions& options,
                             GroomingWorkspace* workspace) {
-  if (id == AlgorithmId::kSpanTEuler && !options.refine) {
-    return spant_euler(traffic_graph, k, options, nullptr, workspace);
+  if (!options.refine) {
+    if (id == AlgorithmId::kSpanTEuler) {
+      return spant_euler(traffic_graph, k, options, nullptr, workspace);
+    }
+    if (id == AlgorithmId::kRegularEuler) {
+      return regular_euler(traffic_graph, k, options, nullptr, workspace);
+    }
   }
   return run_algorithm(id, traffic_graph.to_graph(), k, options, workspace);
 }

@@ -76,9 +76,10 @@ EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
                             const GroomingOptions& options,
                             GroomingWorkspace* workspace, ThreadPool* pool);
 
-/// Same, on a CSR snapshot (the service's parsed request).  SpanT_Euler
-/// without refine walks `traffic_graph` in place; every other algorithm,
-/// and the refine pass, runs on the Graph that CsrGraph::to_graph() builds.
+/// Same, on a CSR snapshot (the service's parsed request).  SpanT_Euler and
+/// Regular_Euler without refine walk `traffic_graph` in place; every other
+/// algorithm, and the refine pass, runs on the Graph that
+/// CsrGraph::to_graph() builds.
 /// Output is identical to the Graph overloads on the same edge list.
 EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
                             int k, const GroomingOptions& options,

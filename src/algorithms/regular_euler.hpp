@@ -20,6 +20,8 @@
 
 namespace tgroom {
 
+struct GroomingWorkspace;
+
 struct RegularEulerTrace {
   NodeId r = 0;
   std::vector<EdgeId> matching;   // empty for even r
@@ -30,9 +32,18 @@ struct RegularEulerTrace {
 
 /// Requires a simple r-regular traffic graph.  r = 1 degenerates to
 /// grouping the perfect matching k edges per wavelength (optimal there).
+/// Runs on a CSR snapshot with its scratch, walks and cover on the
+/// workspace arena (`workspace` optional; results are identical with or
+/// without one).  The Graph overload snapshots `g` into the workspace CSR
+/// and runs the same code.
+EdgePartition regular_euler(const CsrGraph& g, int k,
+                            const GroomingOptions& options = {},
+                            RegularEulerTrace* trace = nullptr,
+                            GroomingWorkspace* workspace = nullptr);
 EdgePartition regular_euler(const Graph& g, int k,
                             const GroomingOptions& options = {},
-                            RegularEulerTrace* trace = nullptr);
+                            RegularEulerTrace* trace = nullptr,
+                            GroomingWorkspace* workspace = nullptr);
 
 /// Lemma 9 bound on the skeleton cover size for odd nontrivial r.
 long long lemma9_cover_bound(NodeId n, NodeId r);

@@ -19,13 +19,24 @@ NodeId min_degree(const Graph& g) {
   return best;
 }
 
-std::optional<NodeId> regularity(const Graph& g) {
+namespace {
+
+template <typename G>
+std::optional<NodeId> regularity_impl(const G& g) {
   if (g.node_count() == 0) return 0;
   NodeId r = g.degree(0);
   for (NodeId v = 1; v < g.node_count(); ++v) {
     if (g.degree(v) != r) return std::nullopt;
   }
   return r;
+}
+
+}  // namespace
+
+std::optional<NodeId> regularity(const Graph& g) { return regularity_impl(g); }
+
+std::optional<NodeId> regularity(const CsrGraph& g) {
+  return regularity_impl(g);
 }
 
 std::vector<NodeId> odd_degree_nodes(const Graph& g, bool real_only) {

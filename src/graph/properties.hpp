@@ -17,6 +17,7 @@ NodeId min_degree(const Graph& g);
 
 /// If every node has the same degree r, returns r; otherwise nullopt.
 std::optional<NodeId> regularity(const Graph& g);
+std::optional<NodeId> regularity(const CsrGraph& g);
 
 /// Nodes of odd degree (virtual edges included unless `real_only`).
 std::vector<NodeId> odd_degree_nodes(const Graph& g, bool real_only = false);
