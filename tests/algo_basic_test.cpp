@@ -86,6 +86,52 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SpanningTreeP,
                            return name;
                          });
 
+// The BFS forest swept to the end: every node's incidences scanned, with
+// no early return once all nodes are reached.
+std::vector<EdgeId> full_sweep_bfs_forest(const Graph& g) {
+  std::vector<char> visited(static_cast<std::size_t>(g.node_count()), 0);
+  std::vector<EdgeId> tree;
+  std::vector<NodeId> frontier;
+  for (NodeId start = 0; start < g.node_count(); ++start) {
+    if (visited[static_cast<std::size_t>(start)]) continue;
+    visited[static_cast<std::size_t>(start)] = 1;
+    std::size_t head = frontier.size();
+    frontier.push_back(start);
+    while (head < frontier.size()) {
+      const NodeId v = frontier[head++];
+      for (const Incidence& inc : g.incident(v)) {
+        if (visited[static_cast<std::size_t>(inc.neighbor)]) continue;
+        visited[static_cast<std::size_t>(inc.neighbor)] = 1;
+        tree.push_back(inc.edge);
+        frontier.push_back(inc.neighbor);
+      }
+    }
+  }
+  return tree;
+}
+
+TEST(SpanningTree, BfsEarlyExitGivesTheFullSweepTree) {
+  Rng rng(23);
+  std::vector<Graph> graphs = {cycle_graph(9), complete_graph(12),
+                               petersen_graph(), star_graph(7), Graph(5)};
+  for (int i = 0; i < 20; ++i) {
+    graphs.push_back(random_gnm(60, 90 + 40 * i, rng));  // connected or not
+  }
+  Graph tail_isolated(10);  // the last node is reached only by the outer loop
+  for (NodeId v = 0; v + 2 < 10; ++v) tail_isolated.add_edge(v, v + 1);
+  graphs.push_back(tail_isolated);
+  for (const Graph& g : graphs) {
+    const std::vector<EdgeId> expected = full_sweep_bfs_forest(g);
+    EXPECT_EQ(spanning_forest(g, TreePolicy::kBfs), expected);
+    const CsrGraph csr(g);
+    EXPECT_EQ(spanning_forest(csr, TreePolicy::kBfs), expected);
+    MonotonicArena arena;
+    std::vector<EdgeId> out;
+    spanning_forest(csr, TreePolicy::kBfs, nullptr, out, &arena);
+    EXPECT_EQ(out, expected);
+  }
+}
+
 TEST(SpanningTree, RandomPolicyNeedsRng) {
   Graph g = cycle_graph(4);
   EXPECT_THROW(spanning_forest(g, TreePolicy::kRandom, nullptr), CheckError);

@@ -9,6 +9,7 @@
 
 #include "algorithms/algorithm.hpp"
 #include "algorithms/workspace.hpp"
+#include "gen/regular_graph.hpp"
 #include "gen/traffic_patterns.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -89,13 +90,14 @@ TEST(ArenaAllocator, NestedContainersPropagateArena) {
 
 // ------------------------------------------------- zero-allocation groom
 
-ServiceRequest make_groom_request(const Graph& g, int k) {
+ServiceRequest make_groom_request(
+    const Graph& g, int k, AlgorithmId algorithm = AlgorithmId::kSpanTEuler) {
   ServiceRequest request;
   request.op = ServiceOp::kGroom;
   request.id = 1;
   request.has_id = true;
   request.graph.rebuild(g);
-  request.algorithm = AlgorithmId::kSpanTEuler;
+  request.algorithm = algorithm;
   request.k = k;
   request.include_partition = true;
   return request;
@@ -139,8 +141,9 @@ TEST(ZeroAllocation, UncachedGroomFootprintIsBoundedAndSteady) {
 
   // Allocations of one warm cold miss, checked to be steady and to leave
   // the arena's footprint where the warm-up put it.
-  auto steady_allocs = [&](const Graph& g, int k) {
-    ServiceRequest request = make_groom_request(g, k);
+  auto steady_allocs = [&](const Graph& g, int k,
+                           AlgorithmId algorithm = AlgorithmId::kSpanTEuler) {
+    ServiceRequest request = make_groom_request(g, k, algorithm);
     service.execute_into(request, workspace, w);  // warm-up: grows arena
     auto measure = [&] {
       const AllocCounter before = thread_alloc_counter();
@@ -167,6 +170,14 @@ TEST(ZeroAllocation, UncachedGroomFootprintIsBoundedAndSteady) {
   // nodes against k = 2 on 48).
   EXPECT_LE(small, 4);
   EXPECT_EQ(large, small);
+
+  // Regular_Euler runs on the same workspace: its matching, walks and
+  // cover allocate nothing once warm, for even and odd r alike.
+  const Graph odd_r = random_regular(48, 7, rng);
+  const Graph even_r = random_regular(40, 6, rng);
+  EXPECT_EQ(steady_allocs(odd_r, 4, AlgorithmId::kRegularEuler), small);
+  EXPECT_EQ(steady_allocs(odd_r, 2, AlgorithmId::kRegularEuler), small);
+  EXPECT_EQ(steady_allocs(even_r, 3, AlgorithmId::kRegularEuler), small);
 }
 
 TEST(ZeroAllocation, WorkspaceArenaResetsBetweenRequests) {
