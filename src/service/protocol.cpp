@@ -818,7 +818,7 @@ RequestParse parse_request_generic(std::string_view line) {
   try {
     doc = parse_json(line);
   } catch (const CheckError& e) {
-    out.error = e.what();
+    out.error = e.message();
     return out;
   }
   if (!doc.is_object()) {
@@ -966,7 +966,7 @@ RequestParse parse_request_generic(std::string_view line) {
       }
     }
   } catch (const CheckError& e) {
-    out.error = e.what();
+    out.error = e.message();
     return out;
   }
   out.request = std::move(request);

@@ -11,10 +11,20 @@
 
 namespace tgroom {
 
-/// Thrown when a checked precondition or invariant fails.
+/// Thrown when a checked precondition or invariant fails.  what() names
+/// the failed expression and its source location (for logs); message()
+/// is the failure alone, which is what a service client is told.
 class CheckError : public std::logic_error {
  public:
-  explicit CheckError(const std::string& what) : std::logic_error(what) {}
+  explicit CheckError(const std::string& what)
+      : std::logic_error(what), message_(what) {}
+  CheckError(const std::string& what, const std::string& message)
+      : std::logic_error(what), message_(message) {}
+
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
 
 namespace detail {
@@ -23,7 +33,8 @@ namespace detail {
   std::ostringstream os;
   os << "check failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw CheckError(os.str());
+  throw CheckError(os.str(),
+                   msg.empty() ? std::string("check failed: ") + expr : msg);
 }
 }  // namespace detail
 
