@@ -14,35 +14,21 @@
 // BENCH_service.json's worker sweep.  The request stream is stateless
 // grooms plus inline provisions (reads, no held plans), so every line
 // routes by content hash and the shards split the cache-primed load.
-// Linux-only (epoll front-end); elsewhere it prints a note and emits an
-// empty runs array.  Emits BENCH_cluster.json for scripts/bench_compare.py.
-#include <fstream>
-#include <iostream>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "util/cli.hpp"
-#include "util/json.hpp"
-
-constexpr const char* kUsage =
-    "usage: bench_cluster [--n N] [--k K] [--graphs G] [--requests R] "
-    "[--connections C] [--pipeline P] [--workers W] [--router-workers W] "
-    "[--warmup N] [--min-time S] [--json FILE]\n"
-    "Routed throughput: direct node vs router vs 2 shards; writes a JSON\n"
-    "report.\n";
-
-#if defined(__linux__)
-
+// Emits BENCH_cluster.json for scripts/bench_compare.py.
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <fstream>
+#include <iostream>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "algorithms/algorithm.hpp"
 #include "cluster/router.hpp"
@@ -50,8 +36,17 @@ constexpr const char* kUsage =
 #include "grooming/plan.hpp"
 #include "service/event_loop.hpp"
 #include "service/server.hpp"
+#include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+
+constexpr const char* kUsage =
+    "usage: bench_cluster [--n N] [--k K] [--graphs G] [--requests R] "
+    "[--connections C] [--pipeline P] [--workers W] [--router-workers W] "
+    "[--warmup N] [--min-time S] [--json FILE]\n"
+    "Routed throughput: direct node vs router vs 2 shards; writes a JSON\n"
+    "report.\n";
 
 namespace {
 
@@ -400,16 +395,3 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << json_path << "\n";
   return 0;
 }
-
-#else  // !__linux__
-
-int main(int argc, char** argv) {
-  tgroom::CliArgs args(argc, argv, kUsage);
-  const std::string json_path = args.get("json", "BENCH_cluster.json");
-  std::cout << "cluster bench: needs Linux (epoll front-end); skipped\n";
-  std::ofstream out(json_path);
-  out << "{\"benchmark\":\"cluster_throughput\",\"runs\":[]}\n";
-  return 0;
-}
-
-#endif

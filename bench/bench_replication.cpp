@@ -9,8 +9,6 @@
 // CI artifact upload and bench_compare.  Plain main (no
 // google-benchmark): one wall-clocked run over a fixed record count with
 // live threads is the honest shape here.
-#if defined(__linux__)
-
 #include <netdb.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -268,14 +266,3 @@ int main(int argc, char** argv) {
   std::cout << "\nwrote " << json_path << "\n";
   return 0;
 }
-
-#else  // !defined(__linux__)
-
-#include <iostream>
-
-int main() {
-  std::cout << "bench_replication requires Linux (epoll event loop)\n";
-  return 0;
-}
-
-#endif  // defined(__linux__)

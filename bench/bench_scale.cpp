@@ -186,9 +186,10 @@ int main(int argc, char** argv) {
     const std::uint64_t seq_checksum = partition_checksum(sequential);
 
     // -- Quality harness: Theorem 5 bound at this scale ------------------
+    // The trace's forest and E_odd also pin the phase breakdown below.
+    SpanTEulerTrace trace;
+    trace.want_cover = false;  // cover_size without 10^6 heap skeletons
     {
-      SpanTEulerTrace trace;
-      trace.want_cover = false;  // cover_size without 10^6 heap skeletons
       EdgePartition traced = spant_euler(g, k, options, &trace);
       row.cover_size = trace.cover_size;
       row.bound =
@@ -233,6 +234,13 @@ int main(int argc, char** argv) {
       odd_subtree_edges_parity(pw.csr, pw.forest, pw.odd_parity, pw.e_odd,
                                &pw.arena);
       row.parity_seconds = parity_watch.elapsed_seconds();
+      // The phases rebuild spant_euler's pipeline inline; if it drifts
+      // from the algorithm, the timings describe code that no longer runs.
+      if (pw.tree != trace.tree || pw.e_odd != trace.e_odd) {
+        std::cerr << "FAIL: phase breakdown's forest or E_odd differs from"
+                  << " spant_euler's at n=" << n << "\n";
+        return 1;
+      }
       for (std::size_t e = 0; e < pw.in_tree.size(); ++e) {
         pw.g2_mask[e] = pw.in_tree[e] ^ 1;
       }

@@ -27,14 +27,12 @@
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
-#if defined(__linux__)
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include "service/event_loop.hpp"
-#endif
 
 namespace {
 
@@ -109,8 +107,6 @@ TimedRun measure(double min_time, F&& pass) {
   } while (r.seconds < min_time);
   return r;
 }
-
-#if defined(__linux__)
 
 // ---- TCP mode: drive the epoll event loop over real loopback sockets.
 
@@ -257,8 +253,6 @@ struct TcpServer {
   }
 };
 
-#endif  // defined(__linux__)
-
 double run_once(const std::string& stream, std::size_t workers,
                 std::size_t cache_capacity, int requests) {
   ServiceConfig config;
@@ -364,7 +358,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-#if defined(__linux__)
   std::vector<TcpMeasurement> tcp_measurements;
   if (connections > 0) {
     // Row (1,1) is the serial baseline: one RTT-bound client, the
@@ -430,13 +423,6 @@ int main(int argc, char** argv) {
     }
     tcp_table.print(std::cout);
   }
-#else
-  (void)pipeline;
-  (void)tcp_workers;
-  if (connections > 0) {
-    std::cout << "\n--connections: TCP mode needs Linux (epoll); skipped\n";
-  }
-#endif
 
   std::ofstream out(json_path);
   JsonWriter w;
@@ -462,7 +448,6 @@ int main(int argc, char** argv) {
     w.kv("warm_rps", m.warm_rps);
     w.end_object();
   }
-#if defined(__linux__)
   for (const TcpMeasurement& m : tcp_measurements) {
     w.begin_object();
     w.kv("mode", "tcp");
@@ -475,7 +460,6 @@ int main(int argc, char** argv) {
     w.kv("warm_rps", m.warm_rps);
     w.end_object();
   }
-#endif
   w.end_array();
   w.end_object();
   out << w.str() << "\n";

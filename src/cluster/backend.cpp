@@ -3,7 +3,7 @@
 #include <chrono>
 #include <cstring>
 
-#if defined(__unix__)
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -11,12 +11,6 @@
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-#include <fcntl.h>
-#endif
-
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
 
 namespace tgroom::cluster {
 
@@ -38,9 +32,7 @@ BackendChannel::BackendChannel(BackendAddress address,
 BackendChannel::~BackendChannel() { stop(); }
 
 void BackendChannel::start() {
-#if defined(__unix__)
   reader_ = std::thread([this] { reader_loop(); });
-#endif
 }
 
 void BackendChannel::stop() {
@@ -51,9 +43,7 @@ void BackendChannel::stop() {
       // path and the destructor).
     }
     stopping_ = true;
-#if defined(__unix__)
     if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-#endif
   }
   state_cv_.notify_all();
   if (reader_.joinable()) reader_.join();
@@ -70,8 +60,6 @@ bool BackendChannel::wait_connected(int timeout_ms) {
                      [this] { return fd_ >= 0 || stopping_; });
   return fd_ >= 0;
 }
-
-#if defined(__unix__)
 
 namespace {
 
@@ -298,22 +286,5 @@ void BackendChannel::fail_inflight_locked() {
   }
   waiters_.clear();
 }
-
-#else  // !defined(__unix__)
-
-int BackendChannel::connect_once() { return -1; }
-void BackendChannel::reader_loop() {}
-BackendChannel::SendStatus BackendChannel::send_line(const std::string&,
-                                                     std::int64_t, Waiter*) {
-  return SendStatus::kNoConnection;
-}
-BackendChannel::SendStatus BackendChannel::call(std::string_view, int,
-                                                std::string&) {
-  return SendStatus::kNoConnection;
-}
-void BackendChannel::send_one_way(std::string_view) {}
-void BackendChannel::fail_inflight_locked() {}
-
-#endif
 
 }  // namespace tgroom::cluster

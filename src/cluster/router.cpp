@@ -489,9 +489,10 @@ void ClusterRouter::on_drain_begin() {
 }
 
 void ClusterRouter::finalize() {
-  // Called after the loop fully drained: every accepted client request
-  // has its response, so shutting the shards down now cannot turn an
-  // in-flight forward into a spurious `shutting_down`.
+  // Called once the session's in-flight work has finished: every
+  // accepted client request has its response, so shutting the shards
+  // down now cannot turn an in-flight forward into a spurious
+  // `shutting_down`.  The client's own ack goes out after this.
   if (prober_.joinable()) prober_.join();
   for (auto& shard : shards_) {
     for (auto& member : shard->members) {

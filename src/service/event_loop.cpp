@@ -1,12 +1,5 @@
 #include "service/event_loop.hpp"
 
-#include <ostream>
-#include <string>
-
-#include "service/handler.hpp"
-
-#if defined(__linux__)
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -15,38 +8,89 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
-#include <future>
+#include <fstream>
 #include <mutex>
+#include <optional>
+#include <ostream>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "algorithms/workspace.hpp"
+#include "service/handler.hpp"
 #include "service/metrics.hpp"
 #include "service/protocol.hpp"
-#include "service/queue.hpp"
+#include "service/session.hpp"
 #include "util/arena.hpp"
-#include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace tgroom {
 
 namespace {
 
-// One accepted socket.  The loop thread owns the read side and the fd;
-// the write side (outbox) is shared with workers under `mutex`.  Both
-// buffers draw from per-connection arenas, so once a connection's
-// buffers reach their high-water mark, serving it costs no heap traffic.
-struct Conn {
-  explicit Conn(int fd_in)
+struct Conn;
+using ConnPtr = std::shared_ptr<Conn>;
+
+// Connections with freshly-delivered worker responses, handed to the loop
+// thread: a worker appends here and nudges the eventfd; the loop swaps
+// the list out and flushes each connection.
+struct DirtyList {
+  std::mutex mutex;
+  std::vector<ConnPtr> conns;
+  int wake_fd = -1;
+
+  void push(ConnPtr conn) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      conns.push_back(std::move(conn));
+    }
+    std::uint64_t one = 1;
+    // The eventfd counter saturates rather than blocks; a failed write
+    // here would mean the loop is already hopelessly wedged.
+    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof one);
+  }
+};
+
+void append_bytes(ArenaVector<char>& buf, std::string_view bytes) {
+  buf.insert(buf.end(), bytes.begin(), bytes.end());
+}
+
+// One accepted socket, and the session origin of every request read from
+// it.  The loop thread owns the read side and the fd; the write side
+// (outbox) is shared with workers under `mutex`.  Both buffers draw from
+// per-connection arenas, so once a connection's buffers reach their
+// high-water mark, serving it costs no heap traffic.
+struct Conn final : SessionOrigin, std::enable_shared_from_this<Conn> {
+  Conn(int fd_in, DirtyList& dirty_in)
       : fd(fd_in),
+        dirty(dirty_in),
         rbuf(ArenaAllocator<char>(&read_arena)),
         outbox(ArenaAllocator<char>(&write_arena)) {}
 
+  /// Appends one response line to the outbox.  A worker's delivery also
+  /// answers one queued request and puts the connection on the dirty
+  /// list (once until the loop flushes it).  Loop-side answers are
+  /// flushed by the loop itself, once per batch of lines.
+  void deliver(std::string_view line, bool from_worker) override {
+    bool notify = false;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (from_worker) ++answered;
+      if (!dead) {
+        append_bytes(outbox, line);
+        outbox.push_back('\n');
+      }
+      if (from_worker && !notified) {
+        notified = true;
+        notify = true;
+      }
+    }
+    if (notify) dirty.push(shared_from_this());
+  }
+
   int fd;
+  DirtyList& dirty;
 
   // ---- read side: loop thread only.  rbuf's size() is allocated
   // storage (grown once, then stable); rlen tracks the valid bytes so a
@@ -59,25 +103,18 @@ struct Conn {
   bool paused = false;      // EPOLLIN dropped: outbox over the cap
   bool replay_queued = false;  // complete lines remain past max_batch
   std::uint32_t events = 0;    // epoll interest mask currently installed
+  std::size_t queued = 0;      // requests handed to the session's queue
 
   // ---- write side: loop thread and workers, under `mutex`.
   std::mutex mutex;
   MonotonicArena write_arena;
   ArenaVector<char> outbox;  // response bytes not yet written
   std::size_t opos = 0;      // outbox[0, opos) is already written
-  std::size_t inflight = 0;  // requests queued or executing for this conn
+  std::size_t answered = 0;  // queued requests answered (<= queued)
   bool notified = false;     // already on the dirty list (coalesces wakes)
   bool dead = false;         // peer gone: discard output, drop responses
 
   bool closed = false;  // fd closed and removed from epoll (loop thread)
-};
-
-using ConnPtr = std::shared_ptr<Conn>;
-
-// A request bound for the worker pool, tagged with its home connection.
-struct WorkItem {
-  ServiceRequest request;
-  ConnPtr conn;
 };
 
 int set_nonblocking_listener(int port, int backlog, std::string& error,
@@ -119,10 +156,6 @@ int set_nonblocking_listener(int port, int backlog, std::string& error,
   return fd;
 }
 
-void append_bytes(ArenaVector<char>& buf, std::string_view bytes) {
-  buf.insert(buf.end(), bytes.begin(), bytes.end());
-}
-
 }  // namespace
 
 struct EventLoopServer::Impl {
@@ -132,48 +165,30 @@ struct EventLoopServer::Impl {
   int listen_fd = -1;
   int bound_port = 0;
   int epoll_fd = -1;
-  int wake_fd = -1;
 
   std::unordered_map<int, ConnPtr> conns;
-
-  // Connections with freshly-delivered responses (workers) — swapped out
-  // and flushed by the loop on each eventfd wake.
-  std::mutex dirty_mutex;
-  std::vector<ConnPtr> dirty;
+  DirtyList dirty;  // its wake_fd is the loop's eventfd
 
   // Connections with complete-but-unprocessed lines left behind by the
   // per-turn fairness cap; processed before the next blocking wait.
   std::vector<ConnPtr> replay;
 
-  // Drain state.  kServing -> kDraining (shutdown/SIGTERM seen; queue
-  // closed and rejected) -> kFlushing (all in-flight done; shutdown
-  // response emitted; waiting for outboxes to reach the wire) -> exit.
-  enum class Phase { kServing, kDraining, kFlushing };
-  Phase phase = Phase::kServing;
-  bool shutdown_seen = false;  // vs SIGTERM: emits the shutdown response
-  ConnPtr shutdown_conn;
-  std::int64_t shutdown_id = 0;
-  bool shutdown_has_id = false;
-  std::size_t rejected_queued = 0;
-
-  std::size_t inflight_total = 0;  // guarded by dirty_mutex
-
-  std::unique_ptr<BoundedQueue<WorkItem>> queue;
-  std::unique_ptr<ThreadPool> pool;
-  std::vector<std::future<void>> worker_done;
-
-  // Loop-thread scratch for inline execution and loop-side responses.
-  GroomingWorkspace inline_workspace;
-  JsonWriter inline_writer;
+  // Admission, workers and the drain sequence (service/session.hpp);
+  // lives for one run().
+  std::optional<SessionCore> session;
+  // Set once shutdown/SIGTERM drained the session: no more accepts or
+  // reads; the loop only flushes outboxes until every connection closes.
+  bool draining = false;
 
   Impl(EventLoopHandler& s, const EventLoopConfig& c) : service(s), config(c) {
     listen_fd = set_nonblocking_listener(c.port, c.backlog, error, bound_port);
   }
 
   ~Impl() {
+    session.reset();  // joins any workers while the eventfd is still open
     if (listen_fd >= 0) ::close(listen_fd);
     if (epoll_fd >= 0) ::close(epoll_fd);
-    if (wake_fd >= 0) ::close(wake_fd);
+    if (dirty.wake_fd >= 0) ::close(dirty.wake_fd);
   }
 
   // ---- epoll plumbing ----------------------------------------------------
@@ -186,53 +201,6 @@ struct EventLoopServer::Impl {
     if (::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev) < 0) return false;
     conn.events = events;
     return true;
-  }
-
-  void wake() {
-    std::uint64_t one = 1;
-    // The eventfd counter saturates rather than blocks; a failed write
-    // here would mean the loop is already hopelessly wedged.
-    [[maybe_unused]] ssize_t n = ::write(wake_fd, &one, sizeof one);
-  }
-
-  // ---- response delivery -------------------------------------------------
-
-  /// Appends one response line (newline added here) to `conn`'s outbox.
-  /// Safe from any thread; `from_worker` also retires one in-flight slot
-  /// and nudges the loop thread through the eventfd.
-  void deliver(const ConnPtr& conn, std::string_view line, bool from_worker) {
-    bool notify = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      if (from_worker && conn->inflight > 0) --conn->inflight;
-      if (!conn->dead) {
-        append_bytes(conn->outbox, line);
-        conn->outbox.push_back('\n');
-      }
-      if (from_worker && !conn->notified) {
-        conn->notified = true;
-        notify = true;
-      }
-    }
-    if (from_worker) {
-      bool drained_all = false;
-      {
-        std::lock_guard<std::mutex> lock(dirty_mutex);
-        if (inflight_total > 0) --inflight_total;
-        drained_all = inflight_total == 0;
-        if (notify) dirty.push_back(conn);
-      }
-      // The final in-flight retirement must wake the loop even when the
-      // connection was already on the dirty list: the drain state machine
-      // waits on inflight_total.
-      if (notify || drained_all) wake();
-    }
-  }
-
-  /// Loop-thread error/inline response: append then flush opportunistically.
-  void respond_now(const ConnPtr& conn, std::string_view line) {
-    deliver(conn, line, /*from_worker=*/false);
-    flush_writes(conn);
   }
 
   // ---- connection lifecycle ----------------------------------------------
@@ -264,7 +232,7 @@ struct EventLoopServer::Impl {
           log << "setsockopt(SO_SNDBUF): " << std::strerror(errno) << "\n";
         }
       }
-      auto conn = std::make_shared<Conn>(fd);
+      auto conn = std::make_shared<Conn>(fd, dirty);
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLRDHUP;
       ev.data.fd = fd;
@@ -300,13 +268,14 @@ struct EventLoopServer::Impl {
   }
 
   /// Close once nothing more can ever reach the socket: read side done,
-  /// no request still owned by a worker, outbox on the wire.
+  /// no queued request still unanswered, outbox on the wire.
   void maybe_close(const ConnPtr& conn) {
     if (conn->closed || conn->read_open) return;
     std::size_t pending = 0;
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
-      pending = conn->inflight + (conn->outbox.size() - conn->opos);
+      pending = (conn->queued - conn->answered) +
+                (conn->outbox.size() - conn->opos);
     }
     if (pending == 0) close_conn(conn);
   }
@@ -392,11 +361,13 @@ struct EventLoopServer::Impl {
       if (conn->rlen - conn->rpos > config.max_request_bytes) {
         // No newline within the line-length budget: the framing is lost
         // for good, so answer once and hang up.
-        respond_now(conn, make_error_response(
-                              0, false, ServiceError::kBadRequest,
-                              "request line exceeds " +
-                                  std::to_string(config.max_request_bytes) +
-                                  " bytes"));
+        conn->deliver(make_error_response(
+                          0, false, ServiceError::kBadRequest,
+                          "request line exceeds " +
+                              std::to_string(config.max_request_bytes) +
+                              " bytes"),
+                      /*from_worker=*/false);
+        flush_writes(conn);
         service.metrics().increment(ServiceMetrics::Counter::kError);
         kill_conn(conn);
         return;
@@ -429,26 +400,35 @@ struct EventLoopServer::Impl {
   /// leftovers are replayed before the next blocking wait).  At EOF the
   /// final unterminated line is processed too, matching getline().
   void process_lines(const ConnPtr& conn, bool saw_eof) {
+    const std::shared_ptr<SessionOrigin> origin = conn;
     std::size_t batch = 0;
     while (conn->read_open && batch < config.max_batch) {
       const char* base = conn->rbuf.data();
       const std::size_t size = conn->rlen;
       const char* nl = static_cast<const char*>(
           std::memchr(base + conn->rpos, '\n', size - conn->rpos));
-      if (nl == nullptr) {
-        if (saw_eof && conn->rpos < size) {
-          std::string_view line(base + conn->rpos, size - conn->rpos);
-          conn->rpos = size;
-          ++batch;
-          process_line(conn, line);
-        }
+      std::string_view line;
+      if (nl != nullptr) {
+        line = std::string_view(
+            base + conn->rpos, static_cast<std::size_t>(nl - base) - conn->rpos);
+        conn->rpos = static_cast<std::size_t>(nl - base) + 1;
+      } else if (saw_eof && conn->rpos < size) {
+        line = std::string_view(base + conn->rpos, size - conn->rpos);
+        conn->rpos = size;
+      } else {
         break;
       }
-      std::string_view line(base + conn->rpos,
-                            static_cast<std::size_t>(nl - base) - conn->rpos);
-      conn->rpos = static_cast<std::size_t>(nl - base) + 1;
       ++batch;
-      process_line(conn, line);
+      switch (session->admit(line, origin)) {
+        case SessionCore::Admission::kQueued:
+          ++conn->queued;
+          break;
+        case SessionCore::Admission::kShutdown:
+          drain();
+          break;
+        case SessionCore::Admission::kDone:
+          break;
+      }
     }
     if (batch > 1) {
       service.metrics().increment(ServiceMetrics::Counter::kPipelined,
@@ -482,126 +462,22 @@ struct EventLoopServer::Impl {
     }
   }
 
-  void process_line(const ConnPtr& conn, std::string_view line) {
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) return;
-    service.metrics().increment(ServiceMetrics::Counter::kReceived);
-    RequestParse parsed = parse_request(line);
-    if (!parsed.request.has_value()) {
-      service.metrics().increment(ServiceMetrics::Counter::kError);
-      respond_now(conn, make_error_response(parsed.id, parsed.has_id,
-                                            ServiceError::kBadRequest,
-                                            parsed.error));
-      return;
-    }
-    ServiceRequest request = std::move(*parsed.request);
-    if (request.deadline_ms == 0) {
-      request.deadline_ms = service.handler_default_deadline_ms();
-    }
-    request.admitted = std::chrono::steady_clock::now();
-    if (service.wants_raw_line()) request.raw.assign(line);
-    if (request.op == ServiceOp::kShutdown) {
-      shutdown_seen = true;
-      shutdown_conn = conn;
-      shutdown_id = request.id;
-      shutdown_has_id = request.has_id;
-      begin_drain();
-      return;
-    }
-    if (request.op == ServiceOp::kHealth) {
-      // Health is answered inline from the event loop, never queued
-      // behind grooming work — it stays cheap under a full admission
-      // queue, which is exactly when a prober wants an answer.
-      service.execute_into(request, inline_workspace, inline_writer);
-      respond_now(conn, inline_writer.str());
-      return;
-    }
-    if (service.worker_count() == 0) {
-      service.execute_into(request, inline_workspace, inline_writer);
-      deliver(conn, inline_writer.str(), /*from_worker=*/false);
-      return;  // flushed once per batch by process_lines()
-    }
-    {
-      std::lock_guard<std::mutex> lock(conn->mutex);
-      ++conn->inflight;
-    }
-    {
-      std::lock_guard<std::mutex> lock(dirty_mutex);
-      ++inflight_total;
-    }
-    const std::int64_t id = request.id;
-    const bool has_id = request.has_id;
-    WorkItem item{std::move(request), conn};
-    if (!queue->try_push(std::move(item))) {
-      {
-        std::lock_guard<std::mutex> lock(conn->mutex);
-        --conn->inflight;
-      }
-      {
-        std::lock_guard<std::mutex> lock(dirty_mutex);
-        --inflight_total;
-      }
-      service.metrics().increment(ServiceMetrics::Counter::kError);
-      service.metrics().increment(ServiceMetrics::Counter::kOverloaded);
-      respond_now(
-          conn,
-          make_error_response(
-              id, has_id, ServiceError::kOverloaded,
-              "admission queue full (capacity " +
-                  std::to_string(service.handler_queue_capacity()) + ")"));
-    }
-  }
-
   // ---- drain -------------------------------------------------------------
 
-  void begin_drain() {
-    if (phase != Phase::kServing) return;
-    phase = Phase::kDraining;
-    // Handler hook before any rejection: the cluster router fans the
-    // shutdown out to its shards here, so "drain" means the whole
-    // cluster, not just this front-end.
-    service.on_drain_begin();
-    // Stop accepting; pending SYNs get RST when the fd closes at exit.
+  /// `shutdown` (from any connection) or SIGTERM: stop accepting and
+  /// reading everywhere — unread pipelined bytes are discarded — run the
+  /// session's drain, then flush every outbox.  Connections whose peers
+  /// stopped reading are closed rather than waited on forever.
+  void drain() {
+    if (draining) return;
+    draining = true;
+    // Pending SYNs get RST when the listen fd closes at exit.
     ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
-    // Stop reading everywhere: in-flight work finishes, queued work is
-    // rejected, unread pipelined bytes are discarded (exactly run()'s
-    // post-shutdown contract for the rest of the stream).
     for (auto& [fd, conn] : conns) {
       conn->read_open = false;
       set_interest(*conn, conn->events & ~std::uint32_t{EPOLLIN});
     }
-    if (queue != nullptr) {
-      std::vector<WorkItem> leftover = queue->close_and_drain();
-      rejected_queued = leftover.size();
-      for (WorkItem& item : leftover) {
-        service.metrics().increment(ServiceMetrics::Counter::kError);
-        service.metrics().increment(ServiceMetrics::Counter::kShuttingDown);
-        deliver(item.conn,
-                make_error_response(item.request.id, item.request.has_id,
-                                    ServiceError::kShuttingDown,
-                                    "service is draining"),
-                /*from_worker=*/true);
-      }
-    }
-    maybe_finish_drain();
-  }
-
-  void maybe_finish_drain() {
-    if (phase != Phase::kDraining) return;
-    {
-      std::lock_guard<std::mutex> lock(dirty_mutex);
-      if (inflight_total > 0) return;
-    }
-    phase = Phase::kFlushing;
-    if (shutdown_seen && shutdown_conn != nullptr) {
-      JsonWriter w;
-      begin_ok_response(w, shutdown_id, shutdown_has_id, ServiceOp::kShutdown);
-      w.kv("rejected_queued", static_cast<long long>(rejected_queued));
-      w.end_object();
-      service.metrics().increment(ServiceMetrics::Counter::kOk);
-      deliver(shutdown_conn, w.str(), /*from_worker=*/false);
-    }
-    // Final flush across every connection; conns whose peers stopped
-    // reading are closed rather than waited on forever.
+    session->drain(/*reject_queued=*/true);
     std::vector<ConnPtr> all;
     all.reserve(conns.size());
     for (auto& [fd, conn] : conns) all.push_back(conn);
@@ -611,18 +487,13 @@ struct EventLoopServer::Impl {
     }
   }
 
-  bool flushing_done() {
-    if (phase != Phase::kFlushing) return false;
-    return conns.empty();
-  }
-
   // ---- loop --------------------------------------------------------------
 
   void drain_dirty() {
     std::vector<ConnPtr> batch;
     {
-      std::lock_guard<std::mutex> lock(dirty_mutex);
-      batch.swap(dirty);
+      std::lock_guard<std::mutex> lock(dirty.mutex);
+      batch.swap(dirty.conns);
     }
     for (const ConnPtr& conn : batch) {
       {
@@ -635,7 +506,6 @@ struct EventLoopServer::Impl {
       }
       maybe_close(conn);
     }
-    maybe_finish_drain();
   }
 
   void drain_replay() {
@@ -654,8 +524,8 @@ struct EventLoopServer::Impl {
       return 1;
     }
     epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (epoll_fd < 0 || wake_fd < 0) {
+    dirty.wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (epoll_fd < 0 || dirty.wake_fd < 0) {
       log << "epoll/eventfd: " << std::strerror(errno) << "\n";
       return 1;
     }
@@ -666,44 +536,20 @@ struct EventLoopServer::Impl {
       log << "epoll_ctl(listen): " << std::strerror(errno) << "\n";
       return 1;
     }
-    ev.data.fd = wake_fd;
-    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &ev) < 0) {
+    ev.data.fd = dirty.wake_fd;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, dirty.wake_fd, &ev) < 0) {
       log << "epoll_ctl(eventfd): " << std::strerror(errno) << "\n";
       return 1;
     }
 
-    const std::size_t workers = service.worker_count();
-    if (workers > 0) {
-      queue = std::make_unique<BoundedQueue<WorkItem>>(
-          service.handler_queue_capacity());
-      pool = std::make_unique<ThreadPool>(workers);
-      worker_done.reserve(workers);
-      for (std::size_t i = 0; i < workers; ++i) {
-        worker_done.push_back(pool->submit([this] {
-          GroomingWorkspace workspace;
-          JsonWriter writer;
-          WorkItem item;
-          while (queue->pop(item)) {
-            service.execute_into(item.request, workspace, writer);
-            deliver(item.conn, writer.str(), /*from_worker=*/true);
-            item.conn.reset();
-          }
-        }));
-      }
-    }
-
+    session.emplace(service);
     log << service.log_name() << ": listening on 127.0.0.1:" << bound_port
-        << " (event loop, workers=" << workers << ")\n";
+        << " (event loop, workers=" << service.worker_count() << ")\n";
 
     std::vector<epoll_event> events(128);
-    bool stop_drain_started = false;
     while (true) {
-      if (service.drain_requested() && !stop_drain_started &&
-          phase == Phase::kServing) {
-        stop_drain_started = true;
-        begin_drain();
-      }
-      if (flushing_done()) break;
+      if (!draining && service.drain_requested()) drain();
+      if (draining && conns.empty()) break;
       // A zero timeout when replays are pending keeps buffered pipelined
       // requests flowing between epoll turns; otherwise a finite timeout
       // bounds how long a SIGTERM delivered to a worker thread waits.
@@ -720,12 +566,12 @@ struct EventLoopServer::Impl {
         const int fd = event.data.fd;
         const std::uint32_t mask = event.events;
         if (fd == listen_fd) {
-          if (phase == Phase::kServing) accept_ready(log);
+          if (!draining) accept_ready(log);
           continue;
         }
-        if (fd == wake_fd) {
+        if (fd == dirty.wake_fd) {
           std::uint64_t count = 0;
-          while (::read(wake_fd, &count, sizeof count) > 0) {
+          while (::read(dirty.wake_fd, &count, sizeof count) > 0) {
           }
           drain_dirty();
           continue;
@@ -747,16 +593,11 @@ struct EventLoopServer::Impl {
       drain_dirty();
     }
 
-    // Reject-and-join even when the loop exits abnormally.
-    if (queue != nullptr) queue->close();
-    for (auto& done : worker_done) done.get();
-
-    service.finalize();
-    if (service.metrics_on_exit()) {
-      JsonWriter w;
-      service.write_exit_metrics(w);
-      log << w.str() << "\n";
-    }
+    // An abnormal exit still finishes accepted work and finalizes once.
+    session->drain(/*reject_queued=*/false);
+    StreamOrigin log_sink(log);
+    session->write_exit_line(log_sink);
+    session.reset();
     return 0;
   }
 };
@@ -775,27 +616,48 @@ int EventLoopServer::port() const { return impl_->bound_port; }
 
 int EventLoopServer::run(std::ostream& log) { return impl_->run(log); }
 
-}  // namespace tgroom
+int serve_tcp(EventLoopHandler& handler, int port, std::ostream& log,
+              const std::string& port_file) {
+  EventLoopConfig config;
+  config.port = port;
+  EventLoopServer server(handler, config);
+  if (!server.valid()) {
+    log << server.error() << "\n";
+    return 1;
+  }
+  if (!port_file.empty()) {
+    std::string error;
+    if (!write_port_file(port_file, server.port(), error)) {
+      log << error << "\n";
+      return 1;
+    }
+  }
+  return server.run(log);
+}
 
-#else  // !__linux__
-
-namespace tgroom {
-
-struct EventLoopServer::Impl {
-  std::string error = "epoll event loop requires linux";
-};
-
-EventLoopServer::EventLoopServer(EventLoopHandler&, const EventLoopConfig&)
-    : impl_(std::make_unique<Impl>()) {}
-EventLoopServer::~EventLoopServer() = default;
-bool EventLoopServer::valid() const { return false; }
-const std::string& EventLoopServer::error() const { return impl_->error; }
-int EventLoopServer::port() const { return 0; }
-int EventLoopServer::run(std::ostream& log) {
-  log << impl_->error << "\n";
-  return 2;
+bool write_port_file(const std::string& path, int port, std::string& error) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) {
+      error = "port-file: cannot write " + tmp;
+      return false;
+    }
+    out << port << "\n";
+    out.flush();
+    if (!out) {
+      error = "port-file: write to " + tmp + " failed";
+      return false;
+    }
+  }
+  // rename() is atomic within a filesystem: a reader polling `path` sees
+  // either nothing or the complete port, never a torn write.
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    error = std::string("port-file: rename to ") + path + ": " +
+            std::strerror(errno);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace tgroom
-
-#endif

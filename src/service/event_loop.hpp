@@ -1,48 +1,37 @@
-// Multi-connection epoll event loop for the grooming service.
-//
-// The PR-3 TCP front-end accepted exactly one connection at a time and
-// drove it through GroomingService::run()'s blocking getline loop: one
-// thread read, parsed, and wrote NDJSON, so the worker pool sat starved
-// behind a single IO thread (baselines/BENCH_service.json showed warm
-// throughput flat from 0 to 8 workers).  EventLoopServer replaces that
-// with a non-blocking, level-triggered epoll loop serving many
-// concurrent connections:
+// The TCP transport of `tgroom serve` and `tgroom route`: a
+// non-blocking, level-triggered epoll loop serving many concurrent
+// loopback connections.  What a request means — admission, workers, the
+// drain sequence — is the session core's (service/session.hpp); this
+// file only moves bytes between sockets and that core.
 //
 //  - Per-connection state machines.  Each connection owns a read buffer
 //    and a write outbox drawn from its own MonotonicArena pair, so a
-//    warm connection's buffer traffic never touches the heap (the PR-4
-//    zero-allocation discipline extended to the network layer).  Reads
-//    and writes are partial-tolerant: a request line may arrive over any
+//    warm connection's buffer traffic never touches the heap.  Reads and
+//    writes are partial-tolerant: a request line may arrive over any
 //    number of readiness events, and a response drains across as many
 //    EPOLLOUT cycles as the socket needs.
-//  - Pipelining.  A readiness event parses every complete NDJSON line
+//  - Pipelining.  A readiness event admits every complete NDJSON line
 //    the buffer holds (bounded per connection per loop iteration by
 //    `max_batch` for fairness; the remainder is replayed before the next
 //    epoll_wait), so a client keeping N requests in flight pays one
 //    read() for many requests.
-//  - Write-back.  Workers never write to sockets.  They append finished
-//    response lines to the owning connection's outbox under its mutex
-//    (line-atomic — bytes of two responses never interleave) and nudge
-//    the loop through an eventfd; the loop flushes outboxes and arms
-//    EPOLLOUT only while a socket is write-blocked.
-//  - Backpressure.  Admission keeps the PR-3 contract: a full
-//    BoundedQueue answers `overloaded` immediately and the connection
-//    stays up.  Additionally, a connection whose outbox exceeds
-//    `outbox_pause_bytes` (slow reader) stops being read until the
-//    outbox drains below half the cap, so memory stays bounded per
-//    connection rather than per offered load.
-//  - Drain semantics are exactly GroomingService::run()'s, per
-//    connection: EOF stops admission from that connection but every
-//    accepted request still gets its response before the socket closes;
-//    a `shutdown` request (from any connection) or SIGTERM stops
-//    accepting, rejects still-queued requests as `shutting_down`,
-//    finishes in-flight work, flushes every outbox, and returns.
-//    `--data-dir` ordering is untouched: appends happen inside
-//    execute_into() before the response line exists, so append-before-
-//    ack holds connection-count-independently.
-//
-// Linux-only (epoll, eventfd, accept4); other platforms keep the
-// single-session fallback in serve_tcp().
+//  - Write-back.  Each connection is its requests' SessionOrigin.
+//    Workers never write to sockets: they append finished response lines
+//    to the connection's outbox under its mutex (line-atomic — bytes of
+//    two responses never interleave) and nudge the loop through an
+//    eventfd; the loop flushes outboxes and arms EPOLLOUT only while a
+//    socket is write-blocked.
+//  - Backpressure.  A full admission queue answers `overloaded` (the
+//    core's rule) and the connection stays up.  Additionally, a
+//    connection whose outbox exceeds `outbox_pause_bytes` (slow reader)
+//    stops being read until the outbox drains below half the cap, so
+//    memory stays bounded per connection rather than per offered load.
+//  - Drain.  EOF stops admission from that connection, but every
+//    accepted request still gets its response before the socket closes.
+//    A `shutdown` request (from any connection) or SIGTERM stops
+//    accepting and reading everywhere, runs the core's drain (queued
+//    work rejected, in-flight work finished, store finalized, then the
+//    ack), flushes every outbox, and returns.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +64,7 @@ struct EventLoopConfig {
 /// `shutdown` request or the handler reports drain_requested() (wired to
 /// GroomingService::request_stop() by both implementations).  The handler
 /// decides what a request *means* — grooming service or cluster router
-/// (service/handler.hpp); the loop is pure network machinery.
+/// (service/handler.hpp).
 class EventLoopServer {
  public:
   EventLoopServer(EventLoopHandler& handler, const EventLoopConfig& config);
@@ -91,13 +80,28 @@ class EventLoopServer {
   /// The actually-bound port (resolves config.port == 0).
   int port() const;
 
-  /// Serves until shutdown/SIGTERM; returns 0 on a clean drain.  Progress
-  /// and the final metrics line go to `log` (never to a client socket).
+  /// Serves until shutdown/SIGTERM; returns 0 once drained (also when
+  /// epoll fails mid-run: accepted work still finishes and the handler
+  /// is finalized).  Progress and the final metrics line go to `log`
+  /// (never to a client socket).
   int run(std::ostream& log);
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// `--port` mode of `tgroom serve` and `tgroom route`: an EventLoopServer
+/// for `handler` on 127.0.0.1:`port` (0 = ephemeral), run until
+/// `shutdown` or SIGTERM.  A non-empty `port_file` gets the bound port
+/// written atomically (write_port_file) once the listener exists —
+/// harnesses read that instead of scraping the stderr announcement.
+/// Returns 1 when the listener or the port file cannot be set up.
+int serve_tcp(EventLoopHandler& handler, int port, std::ostream& log,
+              const std::string& port_file = std::string());
+
+/// Atomically publishes `port` at `path` (temp file + rename, so a reader
+/// never sees a partial write).  False with `error` set on IO failure.
+bool write_port_file(const std::string& path, int port, std::string& error);
 
 }  // namespace tgroom

@@ -1,20 +1,21 @@
-// The request-execution seam between the epoll front-end and whatever
-// answers requests behind it.
+// The request-execution seam between the session core
+// (service/session.hpp) and whatever answers requests behind it.
 //
-// PR 7's EventLoopServer was hard-wired to GroomingService; the cluster
-// front-end (src/cluster/router.hpp) needs the same network machinery —
-// connections, pipelining, outboxes, backpressure, drain — in front of a
-// forwarding engine that owns no grooming state.  EventLoopHandler is the
-// narrow interface the loop actually consumes: execution, the admission
-// knobs, metrics, and the drain hooks.  GroomingService and ClusterRouter
-// both implement it; the loop never knows which it is serving.
+// The grooming service and the cluster front-end (src/cluster/router.hpp)
+// share the same session machinery — admission, workers, drain — and
+// the same transports, but one grooms while the other forwards to shards
+// and owns no grooming state.  EventLoopHandler is the narrow interface
+// the core and the epoll loop actually consume: execution, the
+// admission knobs, metrics, and the drain hooks.  GroomingService and
+// ClusterRouter both implement it; the session never knows which it is
+// serving.
 //
 // Threading contract: execute_into() runs on worker threads (or on the
-// loop thread when worker_count() == 0, and always on the loop thread for
+// reading thread when worker_count() == 0, and always there for
 // `health`, which is answered inline ahead of queued work — so a health
 // response must stay cheap and must not block on locks a worker can hold
 // across a long computation).  The remaining methods are called from the
-// loop thread only.
+// reading thread only.
 #pragma once
 
 #include <cstddef>
@@ -39,10 +40,11 @@ class EventLoopHandler {
   virtual std::int64_t handler_default_deadline_ms() const = 0;
   virtual bool metrics_on_exit() const = 0;
 
-  /// Polled each loop turn; true begins the SIGTERM-style drain.
+  /// Polled by the TCP loop each turn; true begins the SIGTERM-style
+  /// drain.
   virtual bool drain_requested() const = 0;
 
-  /// When true the loop copies each request's original line into
+  /// When true the session copies each request's original line into
   /// ServiceRequest::raw before execution (the router forwards those
   /// bytes; the grooming service never pays the copy).
   virtual bool wants_raw_line() const { return false; }
@@ -55,13 +57,13 @@ class EventLoopHandler {
   virtual void execute_into(ServiceRequest& request,
                             GroomingWorkspace& workspace, JsonWriter& w) = 0;
 
-  /// Called once on the loop thread when a drain begins (shutdown request
-  /// or drain_requested()), before queued work is rejected.  The router
-  /// fans the shutdown out to every shard here.
+  /// Called once when the session drains, before queued work is
+  /// rejected.  The router stops its failover prober here.
   virtual void on_drain_begin() {}
 
-  /// Called after the loop fully drains (the service flushes + snapshots
-  /// its store here).
+  /// Called once per session after in-flight work has finished and
+  /// before the `shutdown` ack: the service flushes and snapshots its
+  /// store, the router shuts its shards down.
   virtual void finalize() {}
 
   /// The {"event":"exit",...} document appended to the log when

@@ -1,24 +1,20 @@
 // The grooming service: a long-running daemon over the batch substrate.
 //
 // One GroomingService owns the cross-request state — the groom-result LRU
-// cache, the held-plan table for incremental provisioning, and the
-// metrics registry.  run() serves one NDJSON session: a reader loop
-// parses and admits requests into a BoundedQueue, `workers` long-running
-// ThreadPool tasks (one GroomingWorkspace each, so scratch buffers
-// amortize across requests exactly as in the batch engine) drain it, and
-// responses are emitted line-atomically under an output mutex.
+// cache, the held-plan table for incremental provisioning, the durable
+// store, and the metrics registry — and answers requests through
+// execute_into().  It is an EventLoopHandler (service/handler.hpp): the
+// session core (service/session.hpp) admits, queues, and drains requests
+// for it, on stdin via run() and on TCP via serve_tcp().  Both transports
+// share that core, so admission, `overloaded`, deadlines, and the drain
+// order (queued work rejected, in-flight work finished, store flushed and
+// snapshotted, then the `shutdown` ack) are the same on each.
 //
-// Overload: when the admission queue is full the request is answered
-// `overloaded` immediately — the connection is never dropped and memory
-// never grows with offered load.  Deadlines: a request's `deadline_ms`
-// (or the config default) is checked between pipeline stages (dequeue,
-// post-compute); an expired groom still populates the cache so a retry
-// hits.  Drain: on EOF admission stops and the workers finish everything
-// already accepted; on `shutdown` or request_stop() (SIGTERM), in-flight
-// requests finish but still-queued ones are answered `shutting_down`.
-// Either way every accepted request gets a response before run() returns.
+// Deadlines: a request's `deadline_ms` (or the config default) is checked
+// between pipeline stages (dequeue, post-compute); an expired groom still
+// populates the cache so a retry hits.
 //
-// With workers == 0 requests execute inline on the reader thread in
+// With workers == 0 requests execute inline on the reading thread in
 // arrival order (deterministic, single-core CI friendly); responses are
 // then in order.  With workers > 0 responses may interleave; the echoed
 // "id" correlates them.
@@ -94,8 +90,6 @@ struct ServiceConfig {
   int shard_count = 0;   // 0 = not part of a sharded cluster
 };
 
-class GroomingService;
-
 class GroomingService : public EventLoopHandler {
  public:
   explicit GroomingService(const ServiceConfig& config)
@@ -106,13 +100,12 @@ class GroomingService : public EventLoopHandler {
     }
   }
 
-  /// Serves one NDJSON session until EOF, a `shutdown` request, or
-  /// request_stop().  Always returns 0; protocol failures are responses,
-  /// not exit codes.
+  /// Serves one NDJSON session from `in` to `out` until EOF, a `shutdown`
+  /// request, or request_stop(), then drains it.  Always returns 0;
+  /// protocol failures are responses, not exit codes.
   int run(std::istream& in, std::ostream& out);
 
-  /// True once a `shutdown` request ended a run() session (used by the
-  /// TCP accept loop to stop across sessions).
+  /// True once a `shutdown` request ended the last run() session.
   bool shutdown_requested() const { return shutdown_; }
 
   /// Executes one parsed request, writing the response line into `w`
@@ -161,14 +154,14 @@ class GroomingService : public EventLoopHandler {
   std::shared_ptr<DurableStore> store() const { return store_ref(); }
 
   /// Clean-exit durability: flushes the WAL and forces a snapshot so the
-  /// next start replays (almost) nothing.  A no-op without a store.
-  /// run() calls this on its own; the event-loop front-end calls it once
-  /// its last session drains.
+  /// next start replays (almost) nothing.  A no-op without a store.  The
+  /// session core's drain calls it (as finalize()) before the `shutdown`
+  /// ack, on either transport.
   void finalize_store();
 
   /// The {"event":"exit",...} metrics document (held plans, cache,
-  /// counters, store) shared by run()'s exit line and the event loop's
-  /// log output.  `w` is cleared first.
+  /// counters, store): run()'s last output line, and the TCP front-end's
+  /// last log line.  `w` is cleared first.
   void write_exit_metrics(JsonWriter& w) override;
 
   /// Cooperative stop for signal handlers: the read loop drains and exits
@@ -274,21 +267,5 @@ class GroomingService : public EventLoopHandler {
   const std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };
-
-/// Serves loopback TCP on 127.0.0.1:`port`.  On linux this runs the
-/// epoll event loop (service/event_loop.hpp): many concurrent
-/// connections, pipelined requests, per-connection outboxes — cache,
-/// held plans, and metrics are shared across all of them.  Other unix
-/// builds fall back to the historical accept-one-connection loop.
-/// Returns when any connection sends `shutdown` or request_stop() is
-/// set.  A non-empty `port_file` gets the bound port written atomically
-/// (write_port_file) once the listener exists — harnesses read that
-/// instead of scraping the stderr announcement.
-int serve_tcp(GroomingService& service, int port, std::ostream& log,
-              const std::string& port_file = std::string());
-
-/// Atomically publishes `port` at `path` (temp file + rename, so a reader
-/// never sees a partial write).  False with `error` set on IO failure.
-bool write_port_file(const std::string& path, int port, std::string& error);
 
 }  // namespace tgroom

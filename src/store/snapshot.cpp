@@ -6,10 +6,8 @@
 #include <cstring>
 #include <filesystem>
 
-#ifdef __unix__
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace tgroom {
 
@@ -31,7 +29,6 @@ std::string snapshot_path(const std::string& dir, std::uint64_t last_seq) {
 // Makes the rename durable.  The caller compacts the WAL behind the new
 // snapshot next, so a directory that may not hold it on disk throws.
 void fsync_dir(const std::string& dir) {
-#ifdef __unix__
   const int fd = ::open(dir.c_str(), O_RDONLY);
   TGROOM_CHECK_MSG(fd >= 0, "cannot open store dir to fsync: " + dir +
                                 ": " + std::strerror(errno));
@@ -40,9 +37,6 @@ void fsync_dir(const std::string& dir) {
   ::close(fd);
   TGROOM_CHECK_MSG(synced, "fsync of store dir failed: " + dir + ": " +
                                std::strerror(saved_errno));
-#else
-  (void)dir;
-#endif
 }
 
 SnapshotData load_snapshot_file(const std::string& path) {
@@ -150,9 +144,7 @@ std::string write_snapshot_file(const std::string& dir,
     }
   };
   note("fflush", std::fflush(f) == 0);
-#ifdef __unix__
   note("fsync", ::fsync(fileno(f)) == 0);
-#endif
   note("fclose", std::fclose(f) == 0);
   TGROOM_CHECK_MSG(wrote == file.size() + body.size(),
                    "short write to snapshot: " + tmp);

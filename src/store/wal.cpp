@@ -7,9 +7,7 @@
 #include <cstring>
 #include <filesystem>
 
-#ifdef __unix__
 #include <unistd.h>
-#endif
 
 namespace tgroom {
 
@@ -40,12 +38,7 @@ void flush_or_die(std::FILE* file, const std::string& dir) {
 }
 
 void fsync_or_die(std::FILE* file, const std::string& dir) {
-#ifdef __unix__
   if (::fsync(fileno(file)) != 0) die_on_io_error("fsync", dir);
-#else
-  (void)file;
-  (void)dir;
-#endif
 }
 
 void close_or_die(std::FILE* file, const std::string& dir) {

@@ -1,6 +1,7 @@
 #include "tools/commands.hpp"
 
 #include <algorithm>
+#include <csignal>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -28,10 +29,6 @@
 #include "sonet/simulator.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
-
-#if defined(__unix__)
-#include <csignal>
-#endif
 
 namespace tgroom::tools {
 
@@ -337,6 +334,18 @@ int cmd_simulate_dynamic(const CliArgs& args, std::ostream& out,
     err << e.what() << "\n";
     return 1;
   }
+}
+
+// SIGTERM requests a graceful drain (`serve` and `route`).  No
+// SA_RESTART: a read blocked in getline fails with EINTR, so the session
+// reaches its drain path instead of blocking until the next request line.
+void drain_on_sigterm() {
+  struct sigaction action {};
+  action.sa_handler = [](int) { GroomingService::request_stop(); };
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = 0;
+  sigaction(SIGTERM, &action, nullptr);
+  GroomingService::clear_stop();
 }
 
 }  // namespace
@@ -783,17 +792,7 @@ int cmd_serve(const CliArgs& args, std::istream& in, std::ostream& out,
     err << "--shard-index must be in [0, --shard-count)\n";
     return 2;
   }
-#if defined(__unix__)
-  // SIGTERM requests a graceful drain.  No SA_RESTART: a read blocked in
-  // getline/accept fails with EINTR, so the loop reaches its drain path
-  // instead of blocking until the next request line.
-  struct sigaction action {};
-  action.sa_handler = [](int) { GroomingService::request_stop(); };
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  sigaction(SIGTERM, &action, nullptr);
-#endif
-  GroomingService::clear_stop();
+  drain_on_sigterm();
   GroomingService service(config);
   // Open (and recover) the store before accepting any request, so a
   // format-version mismatch or unrepairable corruption is a structured
@@ -875,37 +874,15 @@ int cmd_route(const CliArgs& args, std::ostream& out, std::ostream& err) {
     err << "--queue must be >= 1\n";
     return 2;
   }
-#if defined(__unix__)
-  struct sigaction action {};
-  action.sa_handler = [](int) { GroomingService::request_stop(); };
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  sigaction(SIGTERM, &action, nullptr);
-#endif
-  GroomingService::clear_stop();
+  drain_on_sigterm();
   cluster::ClusterRouter router(config);
   if (!router.start(err, error)) {
     err << "tgroom route: " << error << "\n";
     return 1;
   }
-  EventLoopConfig loop_config;
-  loop_config.port = static_cast<int>(args.get_int("port", 0));
-  EventLoopServer server(router, loop_config);
-  if (!server.valid()) {
-    err << server.error() << "\n";
-    router.stop_backends();
-    return 1;
-  }
-  const std::string port_file = args.get("port-file", "");
-  if (!port_file.empty()) {
-    std::string port_error;
-    if (!write_port_file(port_file, server.port(), port_error)) {
-      err << port_error << "\n";
-      router.stop_backends();
-      return 1;
-    }
-  }
-  return server.run(err);
+  // The router's destructor stops its backends on every return path.
+  return serve_tcp(router, static_cast<int>(args.get_int("port", 0)), err,
+                   args.get("port-file", ""));
 }
 
 int cmd_store_dump(const CliArgs& args, std::ostream& out,

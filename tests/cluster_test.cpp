@@ -161,8 +161,6 @@ TEST(IdSplice, RoundTripPreservesEveryOtherByte) {
 
 // ------------------------------------------------------------------------
 // In-process cluster parity: router + 2 shard nodes on loopback sockets.
-// Linux-only, like the event loop front-end itself.
-#if defined(__linux__)
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -548,9 +546,3 @@ TEST(ClusterRouterOps, MultiShardHeldPlanOpWithoutRouteKeyIsRejected) {
 
 }  // namespace
 }  // namespace tgroom::cluster
-
-#else  // !__linux__
-
-TEST(ClusterParity, SkippedOnNonLinux) { GTEST_SKIP(); }
-
-#endif

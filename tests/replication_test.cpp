@@ -9,8 +9,6 @@
 
 #include "replication/replica.hpp"
 
-#if defined(__linux__)
-
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -674,9 +672,3 @@ TEST(Replication, HealthReportsRoleSeqAndLag) {
 
 }  // namespace
 }  // namespace tgroom
-
-#else  // !defined(__linux__)
-
-TEST(Replication, SkippedOnNonLinux) { GTEST_SKIP(); }
-
-#endif
