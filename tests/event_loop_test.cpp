@@ -347,12 +347,16 @@ TEST(EventLoop, MidRequestDisconnectLeavesServerServing) {
 
 // A pipelined burst far beyond the admission queue gets structured
 // `overloaded` rejections, never silence: one response per request, on a
-// connection that stays usable afterwards.
+// connection that stays usable afterwards.  The burst opens with a refine
+// groom of a few hundred edges, which holds the one worker far longer
+// than the loop takes to parse the other requests, so the queue is full
+// when they arrive however the burst is split into reads.
 TEST(EventLoop, OverloadedBurstAnswersEveryRequest) {
   constexpr int kRequests = 16;
   const Graph g = client_graph(9, /*n=*/24);
-  std::string burst;
-  for (int i = 0; i < kRequests; ++i) burst += groom_request(i, g, 8);
+  std::string burst = groom_request(0, client_graph(10, /*n=*/36), 8);
+  burst.insert(burst.find("\"k\":"), "\"refine\":true,");
+  for (int i = 1; i < kRequests; ++i) burst += groom_request(i, g, 8);
 
   TestServer srv(make_config(1, 0, /*queue_capacity=*/1));
   const int fd = connect_port(srv.port());
