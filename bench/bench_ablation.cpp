@@ -37,7 +37,7 @@ void ablate_tree_policy(NodeId n) {
       double cover = 0;
       for (int seed = 0; seed < kSeeds; ++seed) {
         Rng rng(static_cast<std::uint64_t>(seed) * 7 + 1);
-        Graph g = make_workload(WorkloadSpec::dense(n, d), rng);
+        const CsrGraph g(make_workload(WorkloadSpec::dense(n, d), rng));
         TreePolicy policies[] = {TreePolicy::kBfs, TreePolicy::kDfs,
                                  TreePolicy::kRandom,
                                  TreePolicy::kMinMaxDegree};
@@ -81,8 +81,8 @@ void ablate_matching_policy(NodeId n) {
       double covers[3] = {0, 0, 0};
       for (int seed = 0; seed < kSeeds; ++seed) {
         Rng rng(static_cast<std::uint64_t>(seed) * 11 + 3);
-        Graph g = make_workload(
-            WorkloadSpec::regular(n, static_cast<NodeId>(r)), rng);
+        const CsrGraph g(make_workload(
+            WorkloadSpec::regular(n, static_cast<NodeId>(r)), rng));
         MatchingPolicy policies[] = {MatchingPolicy::kGreedy,
                                      MatchingPolicy::kBlossom,
                                      MatchingPolicy::kColorClass};
@@ -120,21 +120,22 @@ void ablate_extensions(NodeId n) {
       for (int seed = 0; seed < kSeeds; ++seed) {
         Rng rng(static_cast<std::uint64_t>(seed) * 13 + 5);
         Graph g = make_workload(WorkloadSpec::dense(n, d), rng);
-        EdgePartition spant = spant_euler(g, k);
-        totals[0] += static_cast<double>(sadm_cost(g, spant));
+        const CsrGraph csr(g);
+        EdgePartition spant = spant_euler(csr, k);
+        totals[0] += static_cast<double>(sadm_cost(csr, spant));
         EdgePartition annealed = spant;
-        refine_partition(g, spant);
-        totals[1] += static_cast<double>(sadm_cost(g, spant));
+        refine_partition(csr, spant);
+        totals[1] += static_cast<double>(sadm_cost(csr, spant));
         AnnealOptions anneal_options;
         anneal_options.iterations = 8000;
         anneal_options.seed = static_cast<std::uint64_t>(seed) + 1;
         anneal_partition(g, annealed, anneal_options);
-        refine_partition(g, annealed);  // final polish
-        totals[2] += static_cast<double>(sadm_cost(g, annealed));
-        EdgePartition packed = clique_pack(g, k);
-        totals[3] += static_cast<double>(sadm_cost(g, packed));
-        refine_partition(g, packed);
-        totals[4] += static_cast<double>(sadm_cost(g, packed));
+        refine_partition(csr, annealed);  // final polish
+        totals[2] += static_cast<double>(sadm_cost(csr, annealed));
+        EdgePartition packed = clique_pack(csr, k);
+        totals[3] += static_cast<double>(sadm_cost(csr, packed));
+        refine_partition(csr, packed);
+        totals[4] += static_cast<double>(sadm_cost(csr, packed));
       }
       table.add_row({TextTable::num(d, 1), std::to_string(k),
                      TextTable::num(totals[0] / kSeeds, 1),
@@ -150,7 +151,7 @@ void ablate_extensions(NodeId n) {
 
 void bench_refine(benchmark::State& state) {
   Rng rng(21);
-  Graph g = make_workload(WorkloadSpec::dense(36, 0.5), rng);
+  const CsrGraph g(make_workload(WorkloadSpec::dense(36, 0.5), rng));
   for (auto _ : state) {
     EdgePartition p = spant_euler(g, 16);
     refine_partition(g, p);
@@ -160,7 +161,7 @@ void bench_refine(benchmark::State& state) {
 
 void bench_clique_pack(benchmark::State& state) {
   Rng rng(22);
-  Graph g = make_workload(WorkloadSpec::dense(36, 0.5), rng);
+  const CsrGraph g(make_workload(WorkloadSpec::dense(36, 0.5), rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(clique_pack(g, 16));
   }

@@ -66,8 +66,8 @@ void print_bounds(const CliArgs& args) {
       double measured = 0;
       for (int seed = 0; seed < seeds; ++seed) {
         Rng rng(static_cast<std::uint64_t>(seed) + 99);
-        Graph g = make_workload(
-            WorkloadSpec::regular(n, static_cast<NodeId>(r)), rng);
+        const CsrGraph g(make_workload(
+            WorkloadSpec::regular(n, static_cast<NodeId>(r)), rng));
         RegularEulerTrace trace;
         EdgePartition p = regular_euler(g, k, {}, &trace);
         long long cost = sadm_cost(g, p);
@@ -104,7 +104,7 @@ void print_bounds(const CliArgs& args) {
 void bench_bound_eval(benchmark::State& state) {
   // Trivial timing anchor so the binary participates in benchmark runs.
   Rng rng(5);
-  Graph g = make_workload(WorkloadSpec::regular(36, 15), rng);
+  const CsrGraph g(make_workload(WorkloadSpec::regular(36, 15), rng));
   for (auto _ : state) {
     benchmark::DoNotOptimize(regular_euler(g, 16));
   }

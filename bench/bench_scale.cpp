@@ -161,27 +161,28 @@ int main(int argc, char** argv) {
 
     Rng gen_rng(seed);
     Stopwatch gen_watch;
-    Graph g = ring_cluster_graph(n, row.rings, n / 2, gen_rng);
+    const Graph g = ring_cluster_graph(n, row.rings, n / 2, gen_rng);
     row.gen_seconds = gen_watch.elapsed_seconds();
+    const CsrGraph csr(g);
     row.m = g.edge_count();
 
     // -- Full sequential run (warm workspace, min-time loop) -------------
     GroomingWorkspace ws;
     EdgePartition sequential;
     for (int i = 0; i < warmup; ++i) {
-      sequential = spant_euler(g, k, options, nullptr, &ws);
+      sequential = spant_euler(csr, k, options, nullptr, &ws);
     }
     int passes = 0;
     do {
       Stopwatch watch;
-      sequential = spant_euler(g, k, options, nullptr, &ws);
+      sequential = spant_euler(csr, k, options, nullptr, &ws);
       row.seconds += watch.elapsed_seconds();
       ++passes;
     } while (row.seconds < min_time);
     row.seconds /= passes;
     row.edges_per_sec = static_cast<double>(row.m) / row.seconds;
     row.arena_peak_bytes = ws.arena.peak_bytes();
-    row.sadms = sadm_cost(g, sequential);
+    row.sadms = sadm_cost(csr, sequential);
     row.wavelengths = sequential.wavelength_count();
     const std::uint64_t seq_checksum = partition_checksum(sequential);
 
@@ -190,7 +191,7 @@ int main(int argc, char** argv) {
     SpanTEulerTrace trace;
     trace.want_cover = false;  // cover_size without 10^6 heap skeletons
     {
-      EdgePartition traced = spant_euler(g, k, options, &trace);
+      EdgePartition traced = spant_euler(csr, k, options, &trace);
       row.cover_size = trace.cover_size;
       row.bound =
           spant_euler_cost_bound(row.m, k, trace.g2_component_count);
@@ -215,24 +216,23 @@ int main(int argc, char** argv) {
     // -- Phase breakdown + streaming-vs-materializing Euler --------------
     {
       GroomingWorkspace pw;
-      pw.prepare(g);
+      pw.prepare_for(csr);
       Rng rng(options.seed);
       Stopwatch forest_watch;
-      spanning_forest(pw.csr, options.tree_policy, &rng, pw.tree, &pw.arena);
+      spanning_forest(csr, options.tree_policy, &rng, pw.tree, &pw.arena);
       row.forest_seconds = forest_watch.elapsed_seconds();
       for (NodeId v = 0; v < n; ++v) {
-        if (pw.csr.degree(v) % 2 == 1) parity_flip(pw.odd_parity, v);
+        if (csr.degree(v) % 2 == 1) parity_flip(pw.odd_parity, v);
       }
       for (EdgeId e : pw.tree) {
         pw.in_tree[static_cast<std::size_t>(e)] = 1;
-        const Edge& edge = pw.csr.edge(e);
+        const Edge& edge = csr.edge(e);
         parity_flip(pw.odd_parity, edge.u);
         parity_flip(pw.odd_parity, edge.v);
       }
       Stopwatch parity_watch;
-      root_forest(pw.csr, pw.tree, pw.forest, &pw.arena);
-      odd_subtree_edges_parity(pw.csr, pw.forest, pw.odd_parity, pw.e_odd,
-                               &pw.arena);
+      root_forest(csr, pw.tree, pw.forest, &pw.arena);
+      odd_subtree_edges_parity(pw.forest, pw.odd_parity, pw.e_odd, &pw.arena);
       row.parity_seconds = parity_watch.elapsed_seconds();
       // The phases rebuild spant_euler's pipeline inline; if it drifts
       // from the algorithm, the timings describe code that no longer runs.
@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
       {
         MonotonicArena arena;
         Stopwatch euler_watch;
-        ArenaWalkList walks = euler_decomposition(pw.csr, pw.g2_mask, arena,
+        ArenaWalkList walks = euler_decomposition(csr, pw.g2_mask, arena,
                                                   MaskDegrees::kAllEven);
         row.euler_seconds = euler_watch.elapsed_seconds();
         for (const ArenaWalk& walk : walks) {
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
       {
         MonotonicArena arena;
         euler_decomposition_stream(
-            pw.csr, pw.g2_mask, arena,
+            csr, pw.g2_mask, arena,
             [&streamed](const ArenaWalk& walk) {
               streamed = walk_checksum(streamed, walk);
             },
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
       ThreadPool pool(static_cast<std::size_t>(workers));
       GroomingWorkspace pws;
       EdgePartition parallel =
-          spant_euler_parallel(g, k, options, &pool, &pws);
+          spant_euler_parallel(csr, k, options, &pool, &pws);
       if (partition_checksum(parallel) != seq_checksum) {
         std::cerr << "FAIL: parallel partition differs from sequential at n="
                   << n << " workers=" << workers << "\n";
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
       int ppasses = 0;
       do {
         Stopwatch watch;
-        parallel = spant_euler_parallel(g, k, options, &pool, &pws);
+        parallel = spant_euler_parallel(csr, k, options, &pool, &pws);
         pr.seconds += watch.elapsed_seconds();
         ++ppasses;
       } while (pr.seconds < min_time);

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (int seed = 0; seed < seeds; ++seed) {
     Rng rng(static_cast<std::uint64_t>(seed) + 1);
     DemandSet demands = regular_traffic(n, r, rng);
-    Graph traffic = demands.traffic_graph();
+    const CsrGraph traffic(demands.traffic_graph());
 
     RegularEulerTrace trace;
     EdgePartition reg = regular_euler(traffic, k, {}, &trace);
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   // The all-to-all special case (r = n-1) from the paper's introduction.
   std::cout << "\nAll-to-all special case (r = n-1) on a small ring:\n";
   DemandSet all = all_to_all_traffic(12);
-  Graph traffic = all.traffic_graph();
+  const CsrGraph traffic(all.traffic_graph());
   EdgePartition p = regular_euler(traffic, k);
   std::cout << "  n=12, m=" << traffic.real_edge_count() << ", k=" << k
             << ": Regular_Euler uses " << sadm_cost(traffic, p)

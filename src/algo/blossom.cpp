@@ -9,12 +9,9 @@ namespace {
 
 // Classic array-based blossom contraction (after Edmonds; formulation as in
 // competitive-programming folklore, e.g. e-maxx).  All ids are node ids.
-// G is Graph or CsrGraph: both list a node's incidences in ascending edge
-// id order, so both find the same matching.
-template <typename G>
 class BlossomSolver {
  public:
-  BlossomSolver(const G& g, MonotonicArena* arena)
+  BlossomSolver(const CsrGraph& g, MonotonicArena* arena)
       : g_(g),
         n_(static_cast<std::size_t>(g.node_count())),
         match_(n_, kInvalidNode, ArenaAllocator<NodeId>(arena)),
@@ -147,16 +144,17 @@ class BlossomSolver {
   // virtual edges: the same per-node order (ascending edge id) a copied
   // adjacency list would have, without its per-node allocations.  Scratch
   // lives on the arena when one is given (heap otherwise).
-  const G& g_;
+  const CsrGraph& g_;
   std::size_t n_;
   ArenaVector<NodeId> match_, parent_, base_, queue_;
   ArenaVector<char> in_forest_, in_blossom_, on_path_;
 };
 
-template <typename G>
-void maximum_matching_into(const G& g, std::vector<EdgeId>& edges,
-                           MonotonicArena* arena) {
-  BlossomSolver<G> solver(g, arena);
+}  // namespace
+
+void maximum_matching(const CsrGraph& g, std::vector<EdgeId>& edges,
+                      MonotonicArena* arena) {
+  BlossomSolver solver(g, arena);
   const ArenaVector<NodeId>& mates = solver.solve();
   edges.clear();
   for (NodeId v = 0; v < g.node_count(); ++v) {
@@ -173,25 +171,6 @@ void maximum_matching_into(const G& g, std::vector<EdgeId>& edges,
     TGROOM_CHECK(found != kInvalidEdge);
     edges.push_back(found);
   }
-}
-
-}  // namespace
-
-std::vector<NodeId> maximum_matching_mates(const Graph& g) {
-  BlossomSolver<Graph> solver(g, nullptr);
-  const ArenaVector<NodeId>& mates = solver.solve();
-  return std::vector<NodeId>(mates.begin(), mates.end());
-}
-
-std::vector<EdgeId> maximum_matching(const Graph& g) {
-  std::vector<EdgeId> edges;
-  maximum_matching_into(g, edges, nullptr);
-  return edges;
-}
-
-void maximum_matching(const CsrGraph& g, std::vector<EdgeId>& out,
-                      MonotonicArena* arena) {
-  maximum_matching_into(g, out, arena);
 }
 
 }  // namespace tgroom

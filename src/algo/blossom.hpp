@@ -8,21 +8,15 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "util/arena.hpp"
 
 namespace tgroom {
 
-/// Edge ids of a maximum matching (virtual edges ignored).
-std::vector<EdgeId> maximum_matching(const Graph& g);
-
-/// The same matching for the same edge list, written into `out` (cleared
-/// first, capacity retained) with the solver's scratch drawn from `arena`
-/// when given — the zero-allocation form the grooming hot path uses.
+/// Edge ids of a maximum matching (virtual edges ignored), written into
+/// `out` (cleared first, capacity retained) with the solver's scratch
+/// drawn from `arena` when given — the zero-allocation form the grooming
+/// hot path uses.
 void maximum_matching(const CsrGraph& g, std::vector<EdgeId>& out,
                       MonotonicArena* arena);
-
-/// Node-indexed mate array (kInvalidNode when unmatched).
-std::vector<NodeId> maximum_matching_mates(const Graph& g);
 
 }  // namespace tgroom

@@ -19,11 +19,10 @@ namespace {
 // exactly the order the classic std::queue form does, but touches one
 // contiguous buffer instead of a deque's chunk list.  Labelling (and so
 // every caller's output) is unchanged.
-template <typename G>
-void bfs_components_into(const G& g, const std::vector<char>* mask,
-                         Components& comp, MonotonicArena* arena) {
+Components bfs_components(const CsrGraph& g, const std::vector<char>* mask,
+                          MonotonicArena* arena) {
   const auto n = static_cast<std::size_t>(g.node_count());
-  comp.count = 0;
+  Components comp;
   comp.label.assign(n, -1);
   ArenaVector<NodeId> frontier{ArenaAllocator<NodeId>(arena)};
   frontier.reserve(n);
@@ -43,39 +42,18 @@ void bfs_components_into(const G& g, const std::vector<char>* mask,
       }
     }
   }
-}
-
-template <typename G>
-Components bfs_components(const G& g, const std::vector<char>* mask) {
-  Components comp;
-  bfs_components_into(g, mask, comp, nullptr);
   return comp;
 }
 }  // namespace
 
-Components connected_components(const Graph& g) {
-  return bfs_components(g, nullptr);
-}
-
-Components connected_components(const CsrGraph& g) {
-  return bfs_components(g, nullptr);
-}
-
-void connected_components(const CsrGraph& g, Components& out,
-                          MonotonicArena* arena) {
-  bfs_components_into(g, nullptr, out, arena);
-}
-
-Components connected_components_masked(const Graph& g,
-                                       const std::vector<char>& edge_mask) {
-  TGROOM_CHECK(edge_mask.size() == static_cast<std::size_t>(g.edge_count()));
-  return bfs_components(g, &edge_mask);
+Components connected_components(const CsrGraph& g, MonotonicArena* arena) {
+  return bfs_components(g, nullptr, arena);
 }
 
 Components connected_components_masked(const CsrGraph& g,
                                        const std::vector<char>& edge_mask) {
   TGROOM_CHECK(edge_mask.size() == static_cast<std::size_t>(g.edge_count()));
-  return bfs_components(g, &edge_mask);
+  return bfs_components(g, &edge_mask, nullptr);
 }
 
 ComponentSplit split_components(const CsrGraph& g, const Components& comp) {
@@ -130,7 +108,7 @@ ComponentSplit split_components(const CsrGraph& g, const Components& comp) {
 }
 
 bool is_connected(const Graph& g) {
-  return connected_components(g).count <= 1;
+  return connected_components(CsrGraph(g)).count <= 1;
 }
 
 namespace {

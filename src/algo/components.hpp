@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "util/arena.hpp"
 
 namespace tgroom {
@@ -20,22 +19,14 @@ struct Components {
   std::vector<std::vector<NodeId>> groups() const;
 };
 
-/// Components using every edge of g (virtual included).
-Components connected_components(const Graph& g);
-Components connected_components(const CsrGraph& g);
+/// Components using every edge of g (virtual included), with traversal
+/// scratch drawn from `arena` when given (heap otherwise).
+Components connected_components(const CsrGraph& g,
+                                MonotonicArena* arena = nullptr);
 
 /// Components using only edges where edge_mask[e] != 0.
-Components connected_components_masked(const Graph& g,
-                                       const std::vector<char>& edge_mask);
 Components connected_components_masked(const CsrGraph& g,
                                        const std::vector<char>& edge_mask);
-
-/// In-place overload for the big-graph hot path: labels into `out`
-/// (capacity retained across runs) with traversal scratch drawn from
-/// `arena` (heap fallback when null).  Labelling is identical to
-/// connected_components(g).
-void connected_components(const CsrGraph& g, Components& out,
-                          MonotonicArena* arena);
 
 /// Flat component grouping for per-component task parallelism: the nodes
 /// and edges of each component as contiguous ascending-id runs, plus each

@@ -8,10 +8,9 @@ namespace tgroom {
 
 namespace {
 
-template <typename G>
 class MisraGries {
  public:
-  explicit MisraGries(const G& g)
+  explicit MisraGries(const CsrGraph& g)
       : g_(g), n_(static_cast<std::size_t>(g.node_count())) {
     NodeId delta = 0;
     for (NodeId v = 0; v < g.node_count(); ++v)
@@ -152,7 +151,7 @@ class MisraGries {
     }
   }
 
-  const G& g_;
+  const CsrGraph& g_;
   std::size_t n_;
   std::size_t palette_;
   std::vector<EdgeId> at_;
@@ -160,21 +159,12 @@ class MisraGries {
   std::vector<EdgeId> fan_edge_;  // fan_edge_[i] joins u and fan[i]
 };
 
-template <typename G>
-EdgeColoring misra_gries_impl(const G& g) {
-  TGROOM_CHECK_MSG(is_simple(g),
-                   "edge coloring requires a simple graph (real edges)");
-  return MisraGries<G>(g).run();
-}
-
 }  // namespace
 
-EdgeColoring misra_gries_edge_coloring(const Graph& g) {
-  return misra_gries_impl(g);
-}
-
 EdgeColoring misra_gries_edge_coloring(const CsrGraph& g) {
-  return misra_gries_impl(g);
+  TGROOM_CHECK_MSG(is_simple(g),
+                   "edge coloring requires a simple graph (real edges)");
+  return MisraGries(g).run();
 }
 
 bool is_proper_edge_coloring(const Graph& g, const EdgeColoring& coloring) {

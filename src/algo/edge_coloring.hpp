@@ -21,7 +21,6 @@ struct EdgeColoring {
 
 /// Colors all real edges properly with colors in [0, Δ].  Requires a simple
 /// graph (no parallel real edges).  Throws CheckError otherwise.
-EdgeColoring misra_gries_edge_coloring(const Graph& g);
 EdgeColoring misra_gries_edge_coloring(const CsrGraph& g);
 
 /// True when no two real edges sharing an endpoint have the same color and

@@ -33,8 +33,7 @@ struct HierholzerScratch {
   ArenaVector<Step> steps;
   std::size_t masked = 0;
 
-  template <typename G>
-  HierholzerScratch(const G& g, const std::vector<char>& edge_mask,
+  HierholzerScratch(const CsrGraph& g, const std::vector<char>& edge_mask,
                     MonotonicArena* arena)
       : cursor(static_cast<std::size_t>(g.node_count()), 0,
                ArenaAllocator<std::uint32_t>(arena)),
@@ -64,8 +63,8 @@ struct HierholzerScratch {
 // when asked), so a start that admits no Euler walk throws instead of
 // emitting a broken one.  WalkT is Walk or ArenaWalk — anything with
 // nodes/edges vectors.  Returns the number of edges taken.
-template <typename G, typename WalkT>
-std::size_t euler_walk_into(const G& g, NodeId start, bool closed,
+template <typename WalkT>
+std::size_t euler_walk_into(const CsrGraph& g, NodeId start, bool closed,
                             HierholzerScratch& scratch, WalkT& walk) {
   Step* const steps = scratch.steps.data();
   const std::size_t end = scratch.steps.size();
@@ -101,27 +100,15 @@ std::size_t euler_walk_into(const G& g, NodeId start, bool closed,
   return length;
 }
 
-template <typename G>
-Walk euler_walk_from_impl(const G& g, const std::vector<char>& edge_mask,
-                          NodeId start) {
-  TGROOM_CHECK(g.valid_node(start));
-  TGROOM_CHECK(edge_mask.size() == static_cast<std::size_t>(g.edge_count()));
-  HierholzerScratch scratch(g, edge_mask, nullptr);
-  Walk walk;
-  euler_walk_into(g, start, /*closed=*/false, scratch, walk);
-  TGROOM_CHECK_MSG(is_valid_walk(g, walk),
-                   "component is not Eulerian from the given start node");
-  return walk;
-}
-
 // The decomposition body, generic over where walks land.  Per component
 // `acquire()` returns a WalkT& to fill and `commit()` runs once it is
-// complete — the materializing overloads append to a list with a no-op
-// commit, the streaming overload hands back one reused buffer and commits
-// by invoking the consumer.  Walks come out in ascending order of their
-// component's lowest node, for every overload and both start rules.
-template <typename G, typename Acquire, typename Commit>
-void euler_decomposition_visit(const G& g, const std::vector<char>& edge_mask,
+// complete — the materializing form appends to a list with a no-op
+// commit, the streaming form hands back one reused buffer and commits by
+// invoking the consumer.  Walks come out in ascending order of their
+// component's lowest node, for both forms and both start rules.
+template <typename Acquire, typename Commit>
+void euler_decomposition_visit(const CsrGraph& g,
+                               const std::vector<char>& edge_mask,
                                MonotonicArena* arena, MaskDegrees degrees,
                                Acquire acquire, Commit commit) {
   TGROOM_CHECK(edge_mask.size() == static_cast<std::size_t>(g.edge_count()));
@@ -214,61 +201,18 @@ void euler_decomposition_visit(const G& g, const std::vector<char>& edge_mask,
                    "Euler decomposition left masked edges unconsumed");
 }
 
-template <typename G>
-bool is_valid_walk_impl(const G& g, const Walk& walk) {
-  if (walk.nodes.empty()) return false;
-  if (walk.nodes.size() != walk.edges.size() + 1) return false;
-  std::vector<char> seen(static_cast<std::size_t>(g.edge_count()), 0);
-  for (std::size_t i = 0; i < walk.edges.size(); ++i) {
-    EdgeId e = walk.edges[i];
-    if (e < 0 || e >= g.edge_count()) return false;
-    if (seen[static_cast<std::size_t>(e)]) return false;
-    seen[static_cast<std::size_t>(e)] = 1;
-    const Edge& edge = g.edge(e);
-    NodeId a = walk.nodes[i];
-    NodeId b = walk.nodes[i + 1];
-    if (!((edge.u == a && edge.v == b) || (edge.u == b && edge.v == a)))
-      return false;
-  }
-  return true;
-}
-
 }  // namespace
-
-Walk euler_walk_from(const Graph& g, const std::vector<char>& edge_mask,
-                     NodeId start) {
-  return euler_walk_from_impl(g, edge_mask, start);
-}
 
 Walk euler_walk_from(const CsrGraph& g, const std::vector<char>& edge_mask,
                      NodeId start) {
-  return euler_walk_from_impl(g, edge_mask, start);
-}
-
-std::vector<Walk> euler_decomposition(const Graph& g,
-                                      const std::vector<char>& edge_mask) {
-  std::vector<Walk> walks;
-  euler_decomposition_visit(
-      g, edge_mask, nullptr, MaskDegrees::kAny,
-      [&walks]() -> Walk& {
-        walks.emplace_back();
-        return walks.back();
-      },
-      [] {});
-  return walks;
-}
-
-std::vector<Walk> euler_decomposition(const CsrGraph& g,
-                                      const std::vector<char>& edge_mask) {
-  std::vector<Walk> walks;
-  euler_decomposition_visit(
-      g, edge_mask, nullptr, MaskDegrees::kAny,
-      [&walks]() -> Walk& {
-        walks.emplace_back();
-        return walks.back();
-      },
-      [] {});
-  return walks;
+  TGROOM_CHECK(g.valid_node(start));
+  TGROOM_CHECK(edge_mask.size() == static_cast<std::size_t>(g.edge_count()));
+  HierholzerScratch scratch(g, edge_mask, nullptr);
+  Walk walk;
+  // euler_walk_into's pop check throws unless the steps form one walk, so
+  // a start the component admits no Euler walk from throws there.
+  euler_walk_into(g, start, /*closed=*/false, scratch, walk);
+  return walk;
 }
 
 ArenaWalkList euler_decomposition(const CsrGraph& g,
@@ -297,30 +241,22 @@ void euler_decomposition_stream(const CsrGraph& g,
       [&buffer, &consume] { consume(buffer); });
 }
 
-std::vector<Walk> split_walk_on_virtual(const Graph& g, const Walk& walk) {
-  std::vector<Walk> segments;
-  Walk current;
+bool is_valid_walk(const Graph& g, const Walk& walk) {
+  if (walk.nodes.empty()) return false;
+  if (walk.nodes.size() != walk.edges.size() + 1) return false;
+  std::vector<char> seen(static_cast<std::size_t>(g.edge_count()), 0);
   for (std::size_t i = 0; i < walk.edges.size(); ++i) {
     EdgeId e = walk.edges[i];
-    if (g.edge(e).is_virtual) {
-      if (!current.edges.empty()) segments.push_back(std::move(current));
-      current = Walk{};
-      continue;
-    }
-    if (current.nodes.empty()) current.nodes.push_back(walk.nodes[i]);
-    current.nodes.push_back(walk.nodes[i + 1]);
-    current.edges.push_back(e);
+    if (e < 0 || e >= g.edge_count()) return false;
+    if (seen[static_cast<std::size_t>(e)]) return false;
+    seen[static_cast<std::size_t>(e)] = 1;
+    const Edge& edge = g.edge(e);
+    NodeId a = walk.nodes[i];
+    NodeId b = walk.nodes[i + 1];
+    if (!((edge.u == a && edge.v == b) || (edge.u == b && edge.v == a)))
+      return false;
   }
-  if (!current.edges.empty()) segments.push_back(std::move(current));
-  return segments;
-}
-
-bool is_valid_walk(const Graph& g, const Walk& walk) {
-  return is_valid_walk_impl(g, walk);
-}
-
-bool is_valid_walk(const CsrGraph& g, const Walk& walk) {
-  return is_valid_walk_impl(g, walk);
+  return true;
 }
 
 }  // namespace tgroom

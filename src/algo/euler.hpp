@@ -6,7 +6,9 @@
 // even, open when a component has exactly two odd-degree nodes.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "graph/csr_graph.hpp"
@@ -30,19 +32,8 @@ struct Walk {
 /// degree > 0 unless the component is a single node; the component has at
 /// most two odd-degree nodes, and if it has two, `start` must be one of
 /// them.  Throws CheckError if the component is not Eulerian from `start`.
-Walk euler_walk_from(const Graph& g, const std::vector<char>& edge_mask,
-                     NodeId start);
 Walk euler_walk_from(const CsrGraph& g, const std::vector<char>& edge_mask,
                      NodeId start);
-
-/// Decomposes the masked subgraph into Euler walks, one per component with
-/// at least one edge.  Every component must have 0 or 2 odd-degree nodes.
-/// Scratch buffers are shared across components, so multi-component masks
-/// cost O(n + m) total rather than O(components * (n + m)).
-std::vector<Walk> euler_decomposition(const Graph& g,
-                                      const std::vector<char>& edge_mask);
-std::vector<Walk> euler_decomposition(const CsrGraph& g,
-                                      const std::vector<char>& edge_mask);
 
 /// A Walk whose storage lives on a MonotonicArena (zero heap allocation
 /// once the arena is warm).  Same invariants as Walk; must not outlive the
@@ -75,8 +66,12 @@ enum class MaskDegrees {
   kAllEven,
 };
 
-/// Decomposition identical walk-for-walk to the heap overloads, with every
-/// temporary and every walk drawn from `arena` — the grooming hot path.
+/// Decomposes the masked subgraph into Euler walks, one per component with
+/// at least one edge, in ascending order of the component's lowest node.
+/// Every component must have 0 or 2 odd-degree nodes.  Scratch buffers
+/// are shared across components, so multi-component masks cost O(n + m)
+/// total rather than O(components * (n + m)).  Every temporary and every
+/// walk is drawn from `arena`.
 ArenaWalkList euler_decomposition(const CsrGraph& g,
                                   const std::vector<char>& edge_mask,
                                   MonotonicArena& arena,
@@ -88,7 +83,7 @@ ArenaWalkList euler_decomposition(const CsrGraph& g,
 using WalkConsumer = std::function<void(const ArenaWalk& walk)>;
 
 /// Streaming decomposition: emits exactly the walks (same content, same
-/// order) the materializing overloads return, but through `consume` with a
+/// order) euler_decomposition returns, but through `consume` with a
 /// single reused buffer instead of a walk list.  Peak arena footprint
 /// drops from O(Σ walk length) = O(m) to O(longest walk) + the O(n + m)
 /// cursor/avail/stack scratch — on multi-component instances (many rings)
@@ -103,11 +98,33 @@ void euler_decomposition_stream(const CsrGraph& g,
 /// Checks walk consistency: edge endpoints match consecutive nodes and no
 /// edge repeats.
 bool is_valid_walk(const Graph& g, const Walk& walk);
-bool is_valid_walk(const CsrGraph& g, const Walk& walk);
 
-/// Splits a walk at its virtual edges into maximal real sub-walks ("delete
-/// the virtual edges" in the paper's constructions).  Empty segments
-/// between consecutive virtual edges are dropped.
-std::vector<Walk> split_walk_on_virtual(const Graph& g, const Walk& walk);
+/// Cuts `walk` at its virtual edges ("delete the virtual edges" in the
+/// paper's constructions) and hands each maximal real run to
+/// `emit(ArenaWalk&&)` in walk order, drawn from `arena`.  Runs between
+/// consecutive virtual edges are empty and dropped.
+template <typename Emit>
+void for_each_real_segment(const CsrGraph& g, const ArenaWalk& walk,
+                           MonotonicArena& arena, Emit&& emit) {
+  const std::size_t length = walk.edges.size();
+  std::size_t i = 0;
+  while (i < length) {
+    if (g.edge(walk.edges[i]).is_virtual) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < length && !g.edge(walk.edges[j]).is_virtual) ++j;
+    ArenaWalk segment(&arena);
+    const auto first = static_cast<std::ptrdiff_t>(i);
+    const auto last = static_cast<std::ptrdiff_t>(j);
+    segment.nodes.assign(walk.nodes.begin() + first,
+                         walk.nodes.begin() + last + 1);
+    segment.edges.assign(walk.edges.begin() + first,
+                         walk.edges.begin() + last);
+    emit(std::move(segment));
+    i = j;
+  }
+}
 
 }  // namespace tgroom

@@ -23,8 +23,7 @@ const char* matching_policy_name(MatchingPolicy policy) {
 
 namespace {
 
-template <typename G>
-std::vector<EdgeId> greedy_matching_impl(const G& g, Rng* rng) {
+std::vector<EdgeId> greedy_matching(const CsrGraph& g, Rng* rng) {
   std::vector<EdgeId> order(static_cast<std::size_t>(g.edge_count()));
   std::iota(order.begin(), order.end(), EdgeId{0});
   if (rng) rng->shuffle(order);
@@ -43,8 +42,7 @@ std::vector<EdgeId> greedy_matching_impl(const G& g, Rng* rng) {
   return matching;
 }
 
-template <typename G>
-std::vector<EdgeId> color_class_matching(const G& g) {
+std::vector<EdgeId> color_class_matching(const CsrGraph& g) {
   EdgeColoring coloring = misra_gries_edge_coloring(g);
   // Bucket real edges by color and return the largest bucket; each color
   // class of a proper edge coloring is a matching.
@@ -62,29 +60,11 @@ std::vector<EdgeId> color_class_matching(const G& g) {
 
 }  // namespace
 
-std::vector<EdgeId> greedy_matching(const Graph& g, Rng* rng) {
-  return greedy_matching_impl(g, rng);
-}
-
-std::vector<EdgeId> find_matching(const Graph& g, MatchingPolicy policy,
-                                  Rng* rng) {
-  switch (policy) {
-    case MatchingPolicy::kGreedy:
-      return greedy_matching_impl(g, rng);
-    case MatchingPolicy::kBlossom:
-      return maximum_matching(g);
-    case MatchingPolicy::kColorClass:
-      return color_class_matching(g);
-  }
-  TGROOM_CHECK_MSG(false, "unknown matching policy");
-  return {};
-}
-
 void find_matching(const CsrGraph& g, MatchingPolicy policy, Rng* rng,
                    std::vector<EdgeId>& out, MonotonicArena* arena) {
   switch (policy) {
     case MatchingPolicy::kGreedy:
-      out = greedy_matching_impl(g, rng);
+      out = greedy_matching(g, rng);
       return;
     case MatchingPolicy::kBlossom:
       maximum_matching(g, out, arena);

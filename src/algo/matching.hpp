@@ -3,8 +3,8 @@
 // Regular_Euler (paper §4) needs a large matching of the r-regular traffic
 // graph; Lemma 8 guarantees a maximum matching of size >= n*r/(2(r+1)).
 // Three strategies are provided as an ablation axis (ABL-MATCH):
-//   - kGreedy:     maximal matching by scanning edges (fast, no guarantee
-//                  beyond maximality).
+//   - kGreedy:     maximal matching by scanning edges (edge id order, or
+//                  shuffled with an rng; no guarantee beyond maximality).
 //   - kBlossom:    true maximum matching (Edmonds' blossom algorithm).
 //   - kColorClass: largest color class of a (Δ+1)-edge-coloring, the
 //                  constructive proof of Lemma 8 via Vizing's theorem.
@@ -23,21 +23,13 @@ enum class MatchingPolicy { kGreedy, kBlossom, kColorClass };
 
 const char* matching_policy_name(MatchingPolicy policy);
 
-/// Edge ids of a matching under the chosen policy.  Virtual edges are
-/// ignored.  `rng` randomizes the greedy scan order when provided.  Both
-/// overloads return the same matching for the same edge list.
-std::vector<EdgeId> find_matching(const Graph& g, MatchingPolicy policy,
-                                  Rng* rng = nullptr);
-
-/// The same matching for the same edge list, written into `out` (cleared
-/// first, capacity retained).  kBlossom draws its scratch from `arena`
-/// when given, the zero-allocation form the grooming hot path uses; the
-/// other policies still allocate internally.
+/// Edge ids of a matching under the chosen policy, written into `out`
+/// (cleared first, capacity retained).  Virtual edges are ignored.  `rng`
+/// randomizes the greedy scan order when provided.  kBlossom draws its
+/// scratch from `arena` when given, the zero-allocation form the grooming
+/// hot path uses; the other policies still allocate internally.
 void find_matching(const CsrGraph& g, MatchingPolicy policy, Rng* rng,
                    std::vector<EdgeId>& out, MonotonicArena* arena);
-
-/// Maximal matching by greedy scan (edge id order, or shuffled with rng).
-std::vector<EdgeId> greedy_matching(const Graph& g, Rng* rng = nullptr);
 
 /// True when no two listed edges share an endpoint and none is virtual.
 bool is_matching(const Graph& g, const std::vector<EdgeId>& edges);

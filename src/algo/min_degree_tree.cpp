@@ -11,9 +11,9 @@ namespace {
 
 // Tree path between u and v inside the masked forest, as edge ids; empty if
 // disconnected (cannot happen for endpoints of a non-tree edge).
-template <typename G>
-std::vector<EdgeId> tree_path(const G& g, const std::vector<char>& in_tree,
-                              NodeId u, NodeId v) {
+std::vector<EdgeId> tree_path(const CsrGraph& g,
+                              const std::vector<char>& in_tree, NodeId u,
+                              NodeId v) {
   const auto n = static_cast<std::size_t>(g.node_count());
   std::vector<EdgeId> via(n, kInvalidEdge);
   std::vector<char> seen(n, 0);
@@ -41,22 +41,11 @@ std::vector<EdgeId> tree_path(const G& g, const std::vector<char>& in_tree,
   return path;
 }
 
-template <typename G>
-NodeId forest_max_degree_impl(const G& g,
-                              const std::vector<EdgeId>& tree_edges) {
-  std::vector<NodeId> deg(static_cast<std::size_t>(g.node_count()), 0);
-  NodeId best = 0;
-  for (EdgeId e : tree_edges) {
-    const Edge& edge = g.edge(e);
-    best = std::max(best, ++deg[static_cast<std::size_t>(edge.u)]);
-    best = std::max(best, ++deg[static_cast<std::size_t>(edge.v)]);
-  }
-  return best;
-}
+}  // namespace
 
-template <typename G>
-std::vector<EdgeId> min_max_degree_forest_impl(const G& g) {
-  std::vector<EdgeId> tree = spanning_forest(g, TreePolicy::kBfs);
+std::vector<EdgeId> min_max_degree_forest(const CsrGraph& g) {
+  std::vector<EdgeId> tree;
+  spanning_forest(g, TreePolicy::kBfs, nullptr, tree, nullptr);
   std::vector<char> in_tree(static_cast<std::size_t>(g.edge_count()), 0);
   std::vector<NodeId> deg(static_cast<std::size_t>(g.node_count()), 0);
   for (EdgeId e : tree) {
@@ -105,24 +94,16 @@ std::vector<EdgeId> min_max_degree_forest_impl(const G& g) {
   return out;
 }
 
-}  // namespace
-
-NodeId forest_max_degree(const Graph& g,
-                         const std::vector<EdgeId>& tree_edges) {
-  return forest_max_degree_impl(g, tree_edges);
-}
-
 NodeId forest_max_degree(const CsrGraph& g,
                          const std::vector<EdgeId>& tree_edges) {
-  return forest_max_degree_impl(g, tree_edges);
-}
-
-std::vector<EdgeId> min_max_degree_forest(const Graph& g) {
-  return min_max_degree_forest_impl(g);
-}
-
-std::vector<EdgeId> min_max_degree_forest(const CsrGraph& g) {
-  return min_max_degree_forest_impl(g);
+  std::vector<NodeId> deg(static_cast<std::size_t>(g.node_count()), 0);
+  NodeId best = 0;
+  for (EdgeId e : tree_edges) {
+    const Edge& edge = g.edge(e);
+    best = std::max(best, ++deg[static_cast<std::size_t>(edge.u)]);
+    best = std::max(best, ++deg[static_cast<std::size_t>(edge.v)]);
+  }
+  return best;
 }
 
 }  // namespace tgroom

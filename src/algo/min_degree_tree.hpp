@@ -12,17 +12,14 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 
 namespace tgroom {
 
 /// Spanning forest whose maximum degree is locally minimal under single
 /// edge swaps.
-std::vector<EdgeId> min_max_degree_forest(const Graph& g);
 std::vector<EdgeId> min_max_degree_forest(const CsrGraph& g);
 
 /// Maximum degree of the forest given by `tree_edges`.
-NodeId forest_max_degree(const Graph& g, const std::vector<EdgeId>& tree_edges);
 NodeId forest_max_degree(const CsrGraph& g,
                          const std::vector<EdgeId>& tree_edges);
 

@@ -2,16 +2,13 @@
 
 namespace tgroom {
 
-namespace {
-
 // The tree adjacency is a throwaway touched once per node, so it is built
 // as a flat counting-sorted array (offset table + incidence array) rather
 // than a vector-of-vectors; per-node order matches the order nodes appear
 // in `tree_edges`, preserving the DFS visit order of the old nested form.
 // All throwaway scratch draws from `arena` (heap fallback when null).
-template <typename G>
-void root_forest_into(const G& g, const std::vector<EdgeId>& tree_edges,
-                      RootedForest& forest, MonotonicArena* arena) {
+void root_forest(const CsrGraph& g, const std::vector<EdgeId>& tree_edges,
+                 RootedForest& forest, MonotonicArena* arena) {
   const auto n = static_cast<std::size_t>(g.node_count());
 
   ArenaVector<std::size_t> offset(n + 1, 0, ArenaAllocator<std::size_t>(arena));
@@ -64,27 +61,6 @@ void root_forest_into(const G& g, const std::vector<EdgeId>& tree_edges,
   }
 }
 
-}  // namespace
-
-RootedForest root_forest(const Graph& g,
-                         const std::vector<EdgeId>& tree_edges) {
-  RootedForest forest;
-  root_forest_into(g, tree_edges, forest, nullptr);
-  return forest;
-}
-
-RootedForest root_forest(const CsrGraph& g,
-                         const std::vector<EdgeId>& tree_edges) {
-  RootedForest forest;
-  root_forest_into(g, tree_edges, forest, nullptr);
-  return forest;
-}
-
-void root_forest(const CsrGraph& g, const std::vector<EdgeId>& tree_edges,
-                 RootedForest& out, MonotonicArena* arena) {
-  root_forest_into(g, tree_edges, out, arena);
-}
-
 std::vector<long long> subtree_sums(const RootedForest& forest,
                                     const std::vector<long long>& weight) {
   TGROOM_CHECK(weight.size() == forest.parent.size());
@@ -102,26 +78,9 @@ std::vector<long long> subtree_sums(const RootedForest& forest,
   return total;
 }
 
-namespace {
-
-std::vector<EdgeId> odd_subtree_edges_impl(
-    const RootedForest& forest, const std::vector<long long>& weight) {
-  const std::vector<long long> total = subtree_sums(forest, weight);
-  std::vector<EdgeId> odd_edges;
-  for (NodeId v = 0; v < static_cast<NodeId>(forest.parent.size()); ++v) {
-    EdgeId pe = forest.parent_edge[static_cast<std::size_t>(v)];
-    if (pe == kInvalidEdge) continue;
-    if (total[static_cast<std::size_t>(v)] % 2 != 0) odd_edges.push_back(pe);
-  }
-  return odd_edges;
-}
-
-}  // namespace
-
-void odd_subtree_edges_parity(const CsrGraph& g, const RootedForest& forest,
+void odd_subtree_edges_parity(const RootedForest& forest,
                               const std::vector<std::uint64_t>& parity,
                               std::vector<EdgeId>& out, MonotonicArena* arena) {
-  (void)g;
   const std::size_t n = forest.parent.size();
   TGROOM_CHECK(parity.size() >= parity_word_count(n));
   ArenaVector<std::uint64_t> total(parity.begin(),
@@ -154,18 +113,16 @@ void odd_subtree_edges_parity(const CsrGraph& g, const RootedForest& forest,
   }
 }
 
-std::vector<EdgeId> odd_subtree_edges(const Graph& g,
-                                      const RootedForest& forest,
+std::vector<EdgeId> odd_subtree_edges(const RootedForest& forest,
                                       const std::vector<long long>& weight) {
-  (void)g;
-  return odd_subtree_edges_impl(forest, weight);
-}
-
-std::vector<EdgeId> odd_subtree_edges(const CsrGraph& g,
-                                      const RootedForest& forest,
-                                      const std::vector<long long>& weight) {
-  (void)g;
-  return odd_subtree_edges_impl(forest, weight);
+  const std::vector<long long> total = subtree_sums(forest, weight);
+  std::vector<EdgeId> odd_edges;
+  for (NodeId v = 0; v < static_cast<NodeId>(forest.parent.size()); ++v) {
+    EdgeId pe = forest.parent_edge[static_cast<std::size_t>(v)];
+    if (pe == kInvalidEdge) continue;
+    if (total[static_cast<std::size_t>(v)] % 2 != 0) odd_edges.push_back(pe);
+  }
+  return odd_edges;
 }
 
 }  // namespace tgroom

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "util/arena.hpp"
 
 namespace tgroom {
@@ -21,15 +20,10 @@ struct RootedForest {
   std::vector<NodeId> root_of;      // root of each node's tree
 };
 
-/// Roots the forest given by `tree_edges`; every node appears (isolated
-/// nodes become their own roots).
-RootedForest root_forest(const Graph& g, const std::vector<EdgeId>& tree_edges);
-RootedForest root_forest(const CsrGraph& g,
-                         const std::vector<EdgeId>& tree_edges);
-
-/// Same rooting written into `out` (buffers resized in place, capacity
-/// retained) with the throwaway tree adjacency drawn from `arena` when
-/// given — the zero-allocation form the grooming hot path uses.
+/// Roots the forest given by `tree_edges` into `out` (buffers resized in
+/// place, capacity retained); every node appears (isolated nodes become
+/// their own roots).  The throwaway tree adjacency is drawn from `arena`
+/// when given (heap otherwise).
 void root_forest(const CsrGraph& g, const std::vector<EdgeId>& tree_edges,
                  RootedForest& out, MonotonicArena* arena);
 
@@ -40,11 +34,7 @@ std::vector<long long> subtree_sums(const RootedForest& forest,
 
 /// Tree edges whose below-subtree weight sum is odd.  With weight = 1 on
 /// odd-degree nodes of G\T, this is exactly E_odd of the paper's Lemma 4.
-std::vector<EdgeId> odd_subtree_edges(const Graph& g,
-                                      const RootedForest& forest,
-                                      const std::vector<long long>& weight);
-std::vector<EdgeId> odd_subtree_edges(const CsrGraph& g,
-                                      const RootedForest& forest,
+std::vector<EdgeId> odd_subtree_edges(const RootedForest& forest,
                                       const std::vector<long long>& weight);
 
 /// Number of 64-bit words a packed per-node parity bitset needs.
@@ -66,10 +56,10 @@ inline bool parity_test(const std::vector<std::uint64_t>& bits, NodeId v) {
 /// Parity-only form of odd_subtree_edges for the big-graph hot path:
 /// `parity` is a packed bitset (parity_word_count(n) words, bit v set when
 /// node v has odd weight).  Output is identical, in the same edge order,
-/// to the long long overloads with 0/1 weights, at 1/64th the scratch
+/// to odd_subtree_edges with 0/1 weights, at 1/64th the scratch
 /// footprint (the subtree sweep XORs bits instead of summing 64-bit
 /// counters).
-void odd_subtree_edges_parity(const CsrGraph& g, const RootedForest& forest,
+void odd_subtree_edges_parity(const RootedForest& forest,
                               const std::vector<std::uint64_t>& parity,
                               std::vector<EdgeId>& out, MonotonicArena* arena);
 

@@ -30,8 +30,7 @@ namespace {
 
 // Returns as soon as the frontier holds all n nodes: the rest of the sweep
 // could only scan incidences of visited nodes, so the tree is the same.
-template <typename G>
-void bfs_forest_into(const G& g, std::vector<EdgeId>& tree,
+void bfs_forest_into(const CsrGraph& g, std::vector<EdgeId>& tree,
                      MonotonicArena* arena) {
   const auto n = static_cast<std::size_t>(g.node_count());
   ArenaVector<char> visited(n, 0, ArenaAllocator<char>(arena));
@@ -55,8 +54,7 @@ void bfs_forest_into(const G& g, std::vector<EdgeId>& tree,
   }
 }
 
-template <typename G>
-void dfs_forest_into(const G& g, std::vector<EdgeId>& tree,
+void dfs_forest_into(const CsrGraph& g, std::vector<EdgeId>& tree,
                      MonotonicArena* arena) {
   const auto n = static_cast<std::size_t>(g.node_count());
   ArenaVector<char> visited(n, 0, ArenaAllocator<char>(arena));
@@ -111,8 +109,7 @@ class Dsu {
   ArenaVector<NodeId> parent_;
 };
 
-template <typename G>
-void random_kruskal_forest_into(const G& g, Rng& rng,
+void random_kruskal_forest_into(const CsrGraph& g, Rng& rng,
                                 std::vector<EdgeId>& tree,
                                 MonotonicArena* arena) {
   ArenaVector<EdgeId> order(static_cast<std::size_t>(g.edge_count()),
@@ -126,9 +123,10 @@ void random_kruskal_forest_into(const G& g, Rng& rng,
   }
 }
 
-template <typename G>
-void spanning_forest_into(const G& g, TreePolicy policy, Rng* rng,
-                          std::vector<EdgeId>& out, MonotonicArena* arena) {
+}  // namespace
+
+void spanning_forest(const CsrGraph& g, TreePolicy policy, Rng* rng,
+                     std::vector<EdgeId>& out, MonotonicArena* arena) {
   out.clear();
   switch (policy) {
     case TreePolicy::kBfs:
@@ -147,27 +145,6 @@ void spanning_forest_into(const G& g, TreePolicy policy, Rng* rng,
   TGROOM_CHECK_MSG(false, "unknown tree policy");
 }
 
-}  // namespace
-
-std::vector<EdgeId> spanning_forest(const Graph& g, TreePolicy policy,
-                                    Rng* rng) {
-  std::vector<EdgeId> tree;
-  spanning_forest_into(g, policy, rng, tree, nullptr);
-  return tree;
-}
-
-std::vector<EdgeId> spanning_forest(const CsrGraph& g, TreePolicy policy,
-                                    Rng* rng) {
-  std::vector<EdgeId> tree;
-  spanning_forest_into(g, policy, rng, tree, nullptr);
-  return tree;
-}
-
-void spanning_forest(const CsrGraph& g, TreePolicy policy, Rng* rng,
-                     std::vector<EdgeId>& out, MonotonicArena* arena) {
-  spanning_forest_into(g, policy, rng, out, arena);
-}
-
 bool is_spanning_forest(const Graph& g,
                         const std::vector<EdgeId>& tree_edges) {
   Dsu dsu(static_cast<std::size_t>(g.node_count()));
@@ -177,7 +154,7 @@ bool is_spanning_forest(const Graph& g,
     if (!dsu.unite(edge.u, edge.v)) return false;  // cycle
   }
   // Acyclic with (n - #components) edges spans every component.
-  int components = connected_components(g).count;
+  int components = connected_components(CsrGraph(g)).count;
   return static_cast<int>(tree_edges.size()) ==
          g.node_count() - components;
 }

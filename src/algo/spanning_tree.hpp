@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/csr_graph.hpp"
-#include "graph/graph.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -24,18 +23,11 @@ enum class TreePolicy {
 
 const char* tree_policy_name(TreePolicy policy);
 
-/// Returns tree edge ids of a spanning forest of g (n - #components edges).
-/// `rng` is required for kRandom and optional elsewhere.  Both overloads
-/// produce identical trees for the same input graph and seed.
-std::vector<EdgeId> spanning_forest(const Graph& g, TreePolicy policy,
-                                    Rng* rng = nullptr);
-std::vector<EdgeId> spanning_forest(const CsrGraph& g, TreePolicy policy,
-                                    Rng* rng = nullptr);
-
-/// Same forest, written into `out` (cleared first, capacity retained) with
-/// traversal scratch drawn from `arena` when given — the zero-allocation
-/// form the grooming hot path uses.  kMinMaxDegree still allocates
-/// internally (its local search is not on the hot path).
+/// Writes the tree edge ids of a spanning forest of g (n - #components
+/// edges) into `out` (cleared first, capacity retained), with traversal
+/// scratch drawn from `arena` when given (heap otherwise).  `rng` is
+/// required for kRandom and optional elsewhere.  kMinMaxDegree still
+/// allocates internally (its local search is not on the hot path).
 void spanning_forest(const CsrGraph& g, TreePolicy policy, Rng* rng,
                      std::vector<EdgeId>& out, MonotonicArena* arena);
 

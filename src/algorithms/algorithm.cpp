@@ -77,56 +77,30 @@ std::optional<AlgorithmId> parse_algorithm_name(std::string_view name) {
 
 std::span<const AlgorithmId> all_algorithms() { return kAllAlgorithms; }
 
-namespace {
-
-template <typename G>
-void check_input_impl(const G& traffic_graph, int k) {
+void check_algorithm_input(const CsrGraph& traffic_graph, int k) {
   TGROOM_CHECK_MSG(k >= 1, "grooming factor must be >= 1");
   TGROOM_CHECK_MSG(
       traffic_graph.real_edge_count() == traffic_graph.edge_count(),
       "traffic graphs must not contain virtual edges");
 }
 
-}  // namespace
-
-void check_algorithm_input(const Graph& traffic_graph, int k) {
-  check_input_impl(traffic_graph, k);
-}
-
-void check_algorithm_input(const CsrGraph& traffic_graph, int k) {
-  check_input_impl(traffic_graph, k);
-}
-
-EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
-                            const GroomingOptions& options) {
-  return run_algorithm(id, traffic_graph, k, options, nullptr);
-}
-
-EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
-                            const GroomingOptions& options,
+EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
+                            int k, const GroomingOptions& options,
                             GroomingWorkspace* workspace) {
-  return run_algorithm(id, traffic_graph, k, options, workspace, nullptr);
-}
-
-EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
-                            const GroomingOptions& options,
-                            GroomingWorkspace* workspace, ThreadPool* pool) {
   EdgePartition partition;
   switch (id) {
     case AlgorithmId::kGoldschmidt:
       partition = goldschmidt_spanning_tree(traffic_graph, k, options);
       break;
     case AlgorithmId::kBrauner:
-      partition = brauner_euler(traffic_graph, k, options);
+      partition = brauner_euler(traffic_graph, k, options, nullptr, workspace);
       break;
     case AlgorithmId::kWangGuIcc06:
-      partition = wanggu_skeleton_cover(traffic_graph, k, options);
+      partition =
+          wanggu_skeleton_cover(traffic_graph, k, options, nullptr, workspace);
       break;
     case AlgorithmId::kSpanTEuler:
-      partition = pool ? spant_euler_parallel(traffic_graph, k, options, pool,
-                                              workspace)
-                       : spant_euler(traffic_graph, k, options, nullptr,
-                                     workspace);
+      partition = spant_euler(traffic_graph, k, options, nullptr, workspace);
       break;
     case AlgorithmId::kRegularEuler:
       partition = regular_euler(traffic_graph, k, options, nullptr, workspace);
@@ -139,18 +113,10 @@ EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
   return partition;
 }
 
-EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
-                            int k, const GroomingOptions& options,
+EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
+                            const GroomingOptions& options,
                             GroomingWorkspace* workspace) {
-  if (!options.refine) {
-    if (id == AlgorithmId::kSpanTEuler) {
-      return spant_euler(traffic_graph, k, options, nullptr, workspace);
-    }
-    if (id == AlgorithmId::kRegularEuler) {
-      return regular_euler(traffic_graph, k, options, nullptr, workspace);
-    }
-  }
-  return run_algorithm(id, traffic_graph.to_graph(), k, options, workspace);
+  return run_algorithm(id, CsrGraph(traffic_graph), k, options, workspace);
 }
 
 std::vector<AlgorithmId> figure4_algorithms() {

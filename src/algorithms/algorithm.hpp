@@ -50,40 +50,26 @@ struct GroomingOptions {
   bool smart_branches = false;
 };
 
-/// Runs the chosen algorithm.  Throws CheckError on invalid input (e.g.
-/// Regular_Euler on a non-regular graph, virtual edges in the input).
-EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
-                            const GroomingOptions& options = {});
-
 struct GroomingWorkspace;
 
-/// Same, with caller-owned reusable scratch (see algorithms/workspace.hpp).
-/// Output is identical to the workspace-free overload; algorithms that do
-/// not yet use a workspace simply ignore it.  Pass nullptr to fall back to
-/// per-call scratch.
-EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
-                            const GroomingOptions& options,
-                            GroomingWorkspace* workspace);
-
-class ThreadPool;
-
-/// Same, with a thread pool for per-component parallelism INSIDE the one
-/// run (currently kSpanTEuler only; other algorithms ignore the pool).
-/// Output is bit-identical to the pool-free overloads for every worker
-/// count — see algorithms/spant_euler.hpp.  Pass nullptr to run
-/// sequentially.
-EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
-                            const GroomingOptions& options,
-                            GroomingWorkspace* workspace, ThreadPool* pool);
-
-/// Same, on a CSR snapshot (the service's parsed request).  SpanT_Euler and
-/// Regular_Euler without refine walk `traffic_graph` in place; every other
-/// algorithm, and the refine pass, runs on the Graph that
-/// CsrGraph::to_graph() builds.
-/// Output is identical to the Graph overloads on the same edge list.
+/// Runs the chosen algorithm on a CSR snapshot (the service's parsed
+/// request), which every algorithm walks in place.  `workspace` is
+/// caller-owned reusable scratch (see algorithms/workspace.hpp); output is
+/// identical with or without one, and nullptr falls back to per-call
+/// scratch.  Throws CheckError on invalid input (e.g. Regular_Euler on a
+/// non-regular graph, virtual edges in the input).
 EdgePartition run_algorithm(AlgorithmId id, const CsrGraph& traffic_graph,
-                            int k, const GroomingOptions& options,
-                            GroomingWorkspace* workspace);
+                            int k, const GroomingOptions& options = {},
+                            GroomingWorkspace* workspace = nullptr);
+
+/// Same, on an adjacency-list Graph, for the CLI, examples, benches and
+/// tests: snapshots `traffic_graph` into a CsrGraph of its own (never the
+/// workspace's `csr`, which Brauner and Regular_Euler grow with their
+/// virtual edges) and forwards.  Output is identical to the CSR overload
+/// on the same edge list.
+EdgePartition run_algorithm(AlgorithmId id, const Graph& traffic_graph, int k,
+                            const GroomingOptions& options = {},
+                            GroomingWorkspace* workspace = nullptr);
 
 /// The four algorithms of the paper's Figure 4 comparison, in its order.
 std::vector<AlgorithmId> figure4_algorithms();
@@ -92,7 +78,6 @@ std::vector<AlgorithmId> figure4_algorithms();
 std::vector<AlgorithmId> figure5_algorithms();
 
 /// Guards shared by all algorithm entry points.
-void check_algorithm_input(const Graph& traffic_graph, int k);
 void check_algorithm_input(const CsrGraph& traffic_graph, int k);
 
 }  // namespace tgroom

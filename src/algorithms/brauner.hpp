@@ -13,13 +13,19 @@
 
 namespace tgroom {
 
+struct GroomingWorkspace;
+
 struct BraunerTrace {
   int virtual_edges = 0;
   int segments = 0;
 };
 
-EdgePartition brauner_euler(const Graph& g, int k,
+/// `workspace` (optional) supplies reusable scratch and the arena; its
+/// `csr` receives g plus the virtual edges.  Results are identical with or
+/// without one.
+EdgePartition brauner_euler(const CsrGraph& g, int k,
                             const GroomingOptions& options = {},
-                            BraunerTrace* trace = nullptr);
+                            BraunerTrace* trace = nullptr,
+                            GroomingWorkspace* workspace = nullptr);
 
 }  // namespace tgroom

@@ -16,7 +16,7 @@ int new_nodes(const std::set<NodeId>& part_nodes, const Edge& e) {
 
 }  // namespace
 
-EdgePartition clique_pack(const Graph& g, int k,
+EdgePartition clique_pack(const CsrGraph& g, int k,
                           const GroomingOptions& options) {
   (void)options;
   check_algorithm_input(g, k);

@@ -13,7 +13,7 @@
 
 namespace tgroom {
 
-EdgePartition clique_pack(const Graph& g, int k,
+EdgePartition clique_pack(const CsrGraph& g, int k,
                           const GroomingOptions& options = {});
 
 }  // namespace tgroom

@@ -5,17 +5,19 @@
 
 namespace tgroom {
 
-EdgePartition goldschmidt_spanning_tree(const Graph& g, int k,
+EdgePartition goldschmidt_spanning_tree(const CsrGraph& g, int k,
                                         const GroomingOptions& options) {
   (void)options;  // the baseline is deterministic: a fixed DFS tree
   check_algorithm_input(g, k);
   const auto n = static_cast<std::size_t>(g.node_count());
 
-  std::vector<EdgeId> tree = spanning_forest(g, TreePolicy::kDfs);
+  std::vector<EdgeId> tree;
+  spanning_forest(g, TreePolicy::kDfs, nullptr, tree, nullptr);
   std::vector<char> in_tree(static_cast<std::size_t>(g.edge_count()), 0);
   for (EdgeId e : tree) in_tree[static_cast<std::size_t>(e)] = 1;
 
-  RootedForest forest = root_forest(g, tree);
+  RootedForest forest;
+  root_forest(g, tree, forest, nullptr);
   std::vector<std::size_t> preorder_pos(n, 0);
   for (std::size_t i = 0; i < forest.preorder.size(); ++i) {
     preorder_pos[static_cast<std::size_t>(forest.preorder[i])] = i;

@@ -15,7 +15,7 @@
 
 namespace tgroom {
 
-EdgePartition goldschmidt_spanning_tree(const Graph& g, int k,
+EdgePartition goldschmidt_spanning_tree(const CsrGraph& g, int k,
                                         const GroomingOptions& options = {});
 
 }  // namespace tgroom

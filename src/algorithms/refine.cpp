@@ -4,7 +4,7 @@
 
 namespace tgroom {
 
-RefineStats refine_partition(const Graph& g, EdgePartition& partition,
+RefineStats refine_partition(const CsrGraph& g, EdgePartition& partition,
                              int max_passes) {
   RefineStats stats;
   std::vector<std::vector<EdgeId>> parts = partition.parts.to_nested();

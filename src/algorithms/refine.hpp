@@ -22,7 +22,7 @@ struct RefineStats {
 };
 
 /// Refines in place; returns statistics.  `max_passes` bounds the sweeps.
-RefineStats refine_partition(const Graph& g, EdgePartition& partition,
+RefineStats refine_partition(const CsrGraph& g, EdgePartition& partition,
                              int max_passes = 40);
 
 }  // namespace tgroom

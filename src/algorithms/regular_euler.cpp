@@ -36,30 +36,6 @@ struct CoverAssembly {
     cover.push_back(ArenaSkeleton::from_walk(std::move(walk), &ws.arena));
   }
 
-  // One backbone per maximal real run of `walk` ("delete the virtual
-  // edges"); runs between consecutive virtual edges are empty and dropped.
-  void add_segments(const CsrGraph& g, const ArenaWalk& walk) {
-    const std::size_t length = walk.edges.size();
-    std::size_t i = 0;
-    while (i < length) {
-      if (g.edge(walk.edges[i]).is_virtual) {
-        ++i;
-        continue;
-      }
-      std::size_t j = i;
-      while (j < length && !g.edge(walk.edges[j]).is_virtual) ++j;
-      ArenaWalk segment(&ws.arena);
-      const auto first = static_cast<std::ptrdiff_t>(i);
-      const auto last = static_cast<std::ptrdiff_t>(j);
-      segment.nodes.assign(walk.nodes.begin() + first,
-                           walk.nodes.begin() + last + 1);
-      segment.edges.assign(walk.edges.begin() + first,
-                           walk.edges.begin() + last);
-      add_backbone(std::move(segment));
-      i = j;
-    }
-  }
-
   // The matching edges attach as branches at a backbone endpoint.
   void add_branches(const CsrGraph& g, const std::vector<EdgeId>& matching) {
     for (EdgeId e : matching) {
@@ -181,7 +157,9 @@ void odd_regular_cover(const CsrGraph& g, const GroomingOptions& options,
     if (virtuals.empty()) {
       assembly.add_backbone(std::move(walk));
     } else {
-      assembly.add_segments(*working, walk);
+      for_each_real_segment(*working, walk, arena, [&](ArenaWalk&& segment) {
+        assembly.add_backbone(std::move(segment));
+      });
     }
   }
   assembly.add_branches(g, ws.matching);
@@ -194,16 +172,6 @@ void odd_regular_cover(const CsrGraph& g, const GroomingOptions& options,
 }
 
 }  // namespace
-
-EdgePartition regular_euler(const Graph& g, int k,
-                            const GroomingOptions& options,
-                            RegularEulerTrace* trace,
-                            GroomingWorkspace* workspace) {
-  GroomingWorkspace local;
-  GroomingWorkspace& ws = workspace ? *workspace : local;
-  ws.csr.rebuild(g);
-  return regular_euler(ws.csr, k, options, trace, &ws);
-}
 
 EdgePartition regular_euler(const CsrGraph& g, int k,
                             const GroomingOptions& options,

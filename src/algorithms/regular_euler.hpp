@@ -32,15 +32,11 @@ struct RegularEulerTrace {
 
 /// Requires a simple r-regular traffic graph.  r = 1 degenerates to
 /// grouping the perfect matching k edges per wavelength (optimal there).
-/// Runs on a CSR snapshot with its scratch, walks and cover on the
-/// workspace arena (`workspace` optional; results are identical with or
-/// without one).  The Graph overload snapshots `g` into the workspace CSR
-/// and runs the same code.
+/// Runs with its scratch, walks and cover on the workspace arena
+/// (`workspace` optional; results are identical with or without one); the
+/// workspace `csr` receives g plus the virtual edges when M is not
+/// perfect.
 EdgePartition regular_euler(const CsrGraph& g, int k,
-                            const GroomingOptions& options = {},
-                            RegularEulerTrace* trace = nullptr,
-                            GroomingWorkspace* workspace = nullptr);
-EdgePartition regular_euler(const Graph& g, int k,
                             const GroomingOptions& options = {},
                             RegularEulerTrace* trace = nullptr,
                             GroomingWorkspace* workspace = nullptr);

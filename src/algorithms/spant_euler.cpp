@@ -53,7 +53,7 @@ ArenaSkeletonCover build_cover(const CsrGraph& csr, GroomingWorkspace& ws,
 
   // E_odd: tree edges with odd V_odd count below (Lemma 4, pairing-free).
   root_forest(csr, ws.tree, ws.forest, &arena);
-  odd_subtree_edges_parity(csr, ws.forest, ws.odd_parity, ws.e_odd, &arena);
+  odd_subtree_edges_parity(ws.forest, ws.odd_parity, ws.e_odd, &arena);
 
   // G'' = E_odd ∪ (E \ T): all degrees even by the Lemma 4 parity
   // argument, so the Euler walks need no component labelling.
@@ -128,16 +128,6 @@ ArenaSkeletonCover build_cover(const CsrGraph& csr, GroomingWorkspace& ws,
 }
 
 }  // namespace
-
-EdgePartition spant_euler(const Graph& g, int k,
-                          const GroomingOptions& options,
-                          SpanTEulerTrace* trace,
-                          GroomingWorkspace* workspace) {
-  GroomingWorkspace local;
-  GroomingWorkspace& ws = workspace ? *workspace : local;
-  ws.csr.rebuild(g);
-  return spant_euler(ws.csr, k, options, trace, &ws);
-}
 
 EdgePartition spant_euler(const CsrGraph& g, int k,
                           const GroomingOptions& options,
@@ -232,7 +222,7 @@ void run_component_chunk(const CsrGraph& csr, const ComponentSplit& split,
 
 }  // namespace
 
-EdgePartition spant_euler_parallel(const Graph& g, int k,
+EdgePartition spant_euler_parallel(const CsrGraph& g, int k,
                                    const GroomingOptions& options,
                                    ThreadPool* pool,
                                    GroomingWorkspace* workspace) {
@@ -249,17 +239,15 @@ EdgePartition spant_euler_parallel(const Graph& g, int k,
   check_algorithm_input(g, k);
   GroomingWorkspace local;
   GroomingWorkspace& ws = workspace ? *workspace : local;
-  ws.prepare(g);
-  const CsrGraph& csr = ws.csr;
+  ws.prepare_for(g);
 
-  Components comp;
-  connected_components(csr, comp, &ws.arena);
+  const Components comp = connected_components(g, &ws.arena);
   if (comp.count <= 1) {
-    ArenaSkeletonCover cover = build_cover(csr, ws, options);
-    return partition_from_cover(csr, cover, k, ws.arena);
+    ArenaSkeletonCover cover = build_cover(g, ws, options);
+    return partition_from_cover(g, cover, k, ws.arena);
   }
 
-  const ComponentSplit split = split_components(csr, comp);
+  const ComponentSplit split = split_components(g, comp);
   const auto count = static_cast<std::size_t>(comp.count);
 
   // Contiguous component ranges balanced by edge count (≈4 chunks per
@@ -268,7 +256,7 @@ EdgePartition spant_euler_parallel(const Graph& g, int k,
   const std::size_t workers = pool->worker_count();
   const std::size_t num_chunks =
       workers == 0 ? 1 : std::min(count, workers * 4);
-  const auto m = static_cast<std::size_t>(csr.edge_count());
+  const auto m = static_cast<std::size_t>(g.edge_count());
   const std::size_t target = (m + num_chunks - 1) / num_chunks;
   std::vector<std::pair<std::size_t, std::size_t>> ranges;
   std::size_t begin = 0;
@@ -293,8 +281,8 @@ EdgePartition spant_euler_parallel(const Graph& g, int k,
   for (std::size_t i = 0; i < ranges.size(); ++i) {
     ChunkState* chunk = chunks[i].get();
     auto range = ranges[i];
-    futures.push_back(pool->submit([&csr, &split, &options, chunk, range] {
-      run_component_chunk(csr, split, range.first, range.second, options,
+    futures.push_back(pool->submit([&g, &split, &options, chunk, range] {
+      run_component_chunk(g, split, range.first, range.second, options,
                           *chunk);
     }));
   }

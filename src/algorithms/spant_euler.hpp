@@ -35,15 +35,9 @@ struct SpanTEulerTrace {
   SkeletonCover cover;
 };
 
-/// `workspace` (optional) supplies reusable scratch; results are identical
-/// with or without one.
-EdgePartition spant_euler(const Graph& g, int k,
-                          const GroomingOptions& options = {},
-                          SpanTEulerTrace* trace = nullptr,
-                          GroomingWorkspace* workspace = nullptr);
-
-/// Same, on a CSR snapshot the caller already holds (the service's parsed
-/// request): walked in place, never copied into the workspace.
+/// Walks g in place (never copied into the workspace).  `workspace`
+/// (optional) supplies reusable scratch; results are identical with or
+/// without one.
 EdgePartition spant_euler(const CsrGraph& g, int k,
                           const GroomingOptions& options = {},
                           SpanTEulerTrace* trace = nullptr,
@@ -61,7 +55,7 @@ EdgePartition spant_euler(const CsrGraph& g, int k,
 /// Falls back to the sequential path when `pool` is null or the tree
 /// policy is not component-local (kRandom shuffles edge ids globally,
 /// kMinMaxDegree's local search is whole-graph).
-EdgePartition spant_euler_parallel(const Graph& g, int k,
+EdgePartition spant_euler_parallel(const CsrGraph& g, int k,
                                    const GroomingOptions& options,
                                    ThreadPool* pool,
                                    GroomingWorkspace* workspace = nullptr);

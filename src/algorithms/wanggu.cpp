@@ -3,6 +3,7 @@
 #include <queue>
 
 #include "algo/components.hpp"
+#include "algorithms/workspace.hpp"
 #include "graph/properties.hpp"
 #include "partition/cover_transform.hpp"
 
@@ -17,7 +18,7 @@ struct BfsResult {
   std::vector<EdgeId> via;
 };
 
-BfsResult masked_bfs(const Graph& g, const std::vector<char>& mask,
+BfsResult masked_bfs(const CsrGraph& g, const std::vector<char>& mask,
                      NodeId start) {
   const auto n = static_cast<std::size_t>(g.node_count());
   BfsResult result;
@@ -48,7 +49,7 @@ BfsResult masked_bfs(const Graph& g, const std::vector<char>& mask,
 }
 
 // BFS spanning-tree mask of the alive subgraph.
-std::vector<char> alive_bfs_forest(const Graph& g,
+std::vector<char> alive_bfs_forest(const CsrGraph& g,
                                    const std::vector<char>& alive) {
   const auto n = static_cast<std::size_t>(g.node_count());
   std::vector<char> tree(static_cast<std::size_t>(g.edge_count()), 0);
@@ -75,15 +76,20 @@ std::vector<char> alive_bfs_forest(const Graph& g,
 
 }  // namespace
 
-EdgePartition wanggu_skeleton_cover(const Graph& g, int k,
+EdgePartition wanggu_skeleton_cover(const CsrGraph& g, int k,
                                     const GroomingOptions& options,
-                                    WangGuTrace* trace) {
+                                    WangGuTrace* trace,
+                                    GroomingWorkspace* workspace) {
   (void)options;  // deterministic peeling
   check_algorithm_input(g, k);
 
+  GroomingWorkspace local;
+  GroomingWorkspace& ws = workspace ? *workspace : local;
+  ws.prepare_for(g);
+  MonotonicArena& arena = ws.arena;
   std::vector<char> alive(static_cast<std::size_t>(g.edge_count()), 1);
   std::size_t alive_count = static_cast<std::size_t>(g.edge_count());
-  SkeletonCover cover;
+  ArenaSkeletonCover cover{ArenaAllocator<ArenaSkeleton>(&arena)};
 
   while (alive_count > 0) {
     // One peel pass: a diameter-path skeleton per remaining component.
@@ -106,7 +112,7 @@ EdgePartition wanggu_skeleton_cover(const Graph& g, int k,
       NodeId b = second.farthest;
 
       // Recover the backbone walk a..b.
-      Walk backbone;
+      ArenaWalk backbone(&arena);
       std::vector<EdgeId> rev_edges;
       for (NodeId x = b; x != a;) {
         EdgeId e = second.via[static_cast<std::size_t>(x)];
@@ -118,15 +124,17 @@ EdgePartition wanggu_skeleton_cover(const Graph& g, int k,
         backbone.edges.push_back(*it);
         backbone.nodes.push_back(g.edge(*it).other(backbone.nodes.back()));
       }
-
-      Skeleton skeleton = Skeleton::from_walk(backbone);
       for (EdgeId e : backbone.edges) {
         alive[static_cast<std::size_t>(e)] = 0;
         --alive_count;
       }
+
+      ArenaSkeleton skeleton =
+          ArenaSkeleton::from_walk(std::move(backbone), &arena);
       // Attach every remaining edge touching the backbone as a branch.
-      for (std::size_t pos = 0; pos < backbone.nodes.size(); ++pos) {
-        NodeId node = backbone.nodes[pos];
+      const ArenaVector<NodeId>& nodes = skeleton.walk_nodes();
+      for (std::size_t pos = 0; pos < nodes.size(); ++pos) {
+        NodeId node = nodes[pos];
         if (handled[static_cast<std::size_t>(node)]) continue;
         handled[static_cast<std::size_t>(node)] = 1;
         for (const Incidence& inc : g.incident(node)) {
@@ -140,8 +148,14 @@ EdgePartition wanggu_skeleton_cover(const Graph& g, int k,
     }
   }
 
-  if (trace) trace->cover = cover;
-  return partition_from_cover(g, cover, k);
+  if (trace) {
+    trace->cover.clear();
+    trace->cover.reserve(cover.size());
+    for (const ArenaSkeleton& s : cover) {
+      trace->cover.push_back(s.to_skeleton());
+    }
+  }
+  return partition_from_cover(g, cover, k, arena);
 }
 
 }  // namespace tgroom

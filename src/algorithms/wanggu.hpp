@@ -16,12 +16,17 @@
 
 namespace tgroom {
 
+struct GroomingWorkspace;
+
 struct WangGuTrace {
   SkeletonCover cover;
 };
 
-EdgePartition wanggu_skeleton_cover(const Graph& g, int k,
+/// Builds its cover on the workspace arena (`workspace` optional; results
+/// are identical with or without one).
+EdgePartition wanggu_skeleton_cover(const CsrGraph& g, int k,
                                     const GroomingOptions& options = {},
-                                    WangGuTrace* trace = nullptr);
+                                    WangGuTrace* trace = nullptr,
+                                    GroomingWorkspace* workspace = nullptr);
 
 }  // namespace tgroom

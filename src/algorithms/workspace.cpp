@@ -2,11 +2,6 @@
 
 namespace tgroom {
 
-void GroomingWorkspace::prepare(const Graph& g) {
-  csr.rebuild(g);
-  prepare_for(csr);
-}
-
 void GroomingWorkspace::prepare_for(const CsrGraph& g) {
   reset();
   const auto n = static_cast<std::size_t>(g.node_count());

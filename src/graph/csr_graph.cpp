@@ -93,14 +93,6 @@ void CsrGraph::rebuild_with(const CsrGraph& base,
   rebuild_index();
 }
 
-Graph CsrGraph::to_graph() const {
-  Graph g(node_count_);
-  g.reserve_edges(edge_count());
-  for (NodeId v = 0; v < node_count_; ++v) g.reserve_degree(v, degree(v));
-  for (const Edge& e : edges_) g.add_edge(e.u, e.v, e.is_virtual);
-  return g;
-}
-
 NodeId CsrGraph::real_degree(NodeId v) const {
   NodeId d = 0;
   for (const Incidence& inc : incident(v)) {

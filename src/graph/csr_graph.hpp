@@ -1,6 +1,8 @@
-// Flat, immutable CSR snapshot of a Graph for the traversal hot path.
-// The service builds one straight from a request's edge list (assign()),
-// so a groom request never materializes the adjacency-list Graph.
+// Flat, immutable CSR snapshot of a traffic graph: the one graph type the
+// kernels (src/algo/), the grooming algorithms and the cover transform
+// take.  The service builds one straight from a request's edge list
+// (assign()); everything else snapshots its adjacency-list Graph with
+// CsrGraph(g), which is explicit because it copies O(n + m).
 //
 // Graph stores adjacency as vector<vector<Incidence>>, which is convenient
 // while edges are being added but pointer-chasing to traverse: every
@@ -10,8 +12,9 @@
 //
 // Determinism contract: incidences appear in ascending edge-id order per
 // node — exactly the order Graph::incident() yields (each add_edge appends
-// to both endpoint lists) — so every traversal kernel produces
-// bit-identical output on either representation.  csr_test.cpp pins this.
+// to both endpoint lists) — so a snapshot, and a snapshot assigned from
+// the same edge list, traverse exactly as the Graph would.  csr_test.cpp
+// pins this.
 //
 // rebuild() reuses the snapshot's storage, so a long-lived CsrGraph (e.g.
 // inside a GroomingWorkspace) makes repeat runs allocation-free once its
@@ -53,10 +56,6 @@ class CsrGraph {
   /// `base` may be this snapshot.  Endpoints of `extra` must be nodes of
   /// `base` (unchecked).  Reuses existing capacity like rebuild().
   void rebuild_with(const CsrGraph& base, std::span<const Edge> extra);
-
-  /// The adjacency-list Graph with the same edges in id order, for the
-  /// algorithms that still need one.
-  Graph to_graph() const;
 
   /// Rebuilds this snapshot as the subgraph of `parent` induced by `nodes`
   /// and `edges` (every edge's endpoints must be listed in `nodes`),

@@ -2,23 +2,6 @@
 
 namespace tgroom {
 
-EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
-                                   int k) {
-  TGROOM_CHECK(k >= 1);
-  std::vector<EdgeId> order;
-  for (const Skeleton& skeleton : cover) {
-    for (EdgeId e : skeleton.canonical_order()) {
-      TGROOM_CHECK_MSG(!g.edge(e).is_virtual,
-                       "cover skeletons must not contain virtual edges");
-      order.push_back(e);
-    }
-  }
-  EdgePartition partition;
-  partition.k = k;
-  partition.parts = FlatParts::chunks(std::move(order), k);
-  return partition;
-}
-
 EdgePartition partition_from_cover(const CsrGraph& g,
                                    const ArenaSkeletonCover& cover, int k,
                                    MonotonicArena& arena) {

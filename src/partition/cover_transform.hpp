@@ -20,15 +20,9 @@ namespace tgroom {
 
 /// Builds the k-edge partition from a skeleton cover.  Skeletons must not
 /// contain virtual edges (the paper's algorithms strip them before skeleton
-/// construction).  Empty skeletons are skipped.
-EdgePartition partition_from_cover(const Graph& g, const SkeletonCover& cover,
-                                   int k);
-
-/// Same transform over an arena-backed cover: the skeletons write their
+/// construction); empty skeletons add nothing.  The skeletons write their
 /// canonical orders straight into the partition's id array (`arena` holds
 /// their scratch), so the escaping partition is the only heap touch.
-/// Produces a partition identical to the heap overload's for the
-/// equivalent cover.
 EdgePartition partition_from_cover(const CsrGraph& g,
                                    const ArenaSkeletonCover& cover, int k,
                                    MonotonicArena& arena);

@@ -45,11 +45,7 @@ void FlatParts::push_back(Part part) {
   ends_.push_back(ids_.size());
 }
 
-namespace {
-
-// Graph and CsrGraph expose the same edge table and degree interface.
-template <typename G>
-long long sadm_cost_impl(const G& g, const EdgePartition& partition) {
+long long sadm_cost(const CsrGraph& g, const EdgePartition& partition) {
   // stamp[v] == i + 1 once part i has counted node v, so the array is
   // cleared once per call rather than once per part.
   std::vector<std::size_t> stamp(static_cast<std::size_t>(g.node_count()), 0);
@@ -69,37 +65,8 @@ long long sadm_cost_impl(const G& g, const EdgePartition& partition) {
   return cost;
 }
 
-template <typename G>
-long long degree_lower_bound_impl(const G& g, int k) {
-  TGROOM_CHECK(k >= 1);
-  const bool all_real = g.real_edge_count() == g.edge_count();
-  long long total = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const NodeId degree = all_real ? g.degree(v) : g.real_degree(v);
-    total += (static_cast<long long>(degree) + k - 1) / k;
-  }
-  return total;
-}
-
-template <typename G>
-long long partition_cost_lower_bound_impl(const G& g, int k) {
-  TGROOM_CHECK(k >= 1);
-  long long m = g.real_edge_count();
-  long long full_parts = m / k;
-  long long rest = m % k;
-  long long packing = full_parts * min_nodes_for_edges(k) +
-                      min_nodes_for_edges(rest);
-  return std::max(degree_lower_bound_impl(g, k), packing);
-}
-
-}  // namespace
-
 long long sadm_cost(const Graph& g, const EdgePartition& partition) {
-  return sadm_cost_impl(g, partition);
-}
-
-long long sadm_cost(const CsrGraph& g, const EdgePartition& partition) {
-  return sadm_cost_impl(g, partition);
+  return sadm_cost(CsrGraph(g), partition);
 }
 
 PartitionValidation validate_partition(const Graph& g,
@@ -156,20 +123,29 @@ NodeId min_nodes_for_edges(long long edges) {
   return t;
 }
 
-long long degree_lower_bound(const Graph& g, int k) {
-  return degree_lower_bound_impl(g, k);
-}
-
 long long degree_lower_bound(const CsrGraph& g, int k) {
-  return degree_lower_bound_impl(g, k);
-}
-
-long long partition_cost_lower_bound(const Graph& g, int k) {
-  return partition_cost_lower_bound_impl(g, k);
+  TGROOM_CHECK(k >= 1);
+  const bool all_real = g.real_edge_count() == g.edge_count();
+  long long total = 0;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    const NodeId degree = all_real ? g.degree(v) : g.real_degree(v);
+    total += (static_cast<long long>(degree) + k - 1) / k;
+  }
+  return total;
 }
 
 long long partition_cost_lower_bound(const CsrGraph& g, int k) {
-  return partition_cost_lower_bound_impl(g, k);
+  TGROOM_CHECK(k >= 1);
+  long long m = g.real_edge_count();
+  long long full_parts = m / k;
+  long long rest = m % k;
+  long long packing = full_parts * min_nodes_for_edges(k) +
+                      min_nodes_for_edges(rest);
+  return std::max(degree_lower_bound(g, k), packing);
+}
+
+long long partition_cost_lower_bound(const Graph& g, int k) {
+  return partition_cost_lower_bound(CsrGraph(g), k);
 }
 
 }  // namespace tgroom

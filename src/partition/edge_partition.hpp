@@ -98,6 +98,9 @@ struct EdgePartition {
 
 /// Σ over parts of the number of distinct nodes spanned — the SADM count.
 /// One pass over the parts' edges with a node array stamped per part.
+/// The Graph overloads of sadm_cost and partition_cost_lower_bound snapshot
+/// g and run the CsrGraph body; they stay for the grooming layer, the CLI
+/// and the benchmark client, which hold Graphs.
 long long sadm_cost(const Graph& g, const EdgePartition& partition);
 long long sadm_cost(const CsrGraph& g, const EdgePartition& partition);
 
@@ -134,7 +137,6 @@ long long partition_cost_lower_bound(const CsrGraph& g, int k);
 
 /// Just the degree term Σ_v ceil(deg(v)/k) (the classic UPSR grooming
 /// lower bound).
-long long degree_lower_bound(const Graph& g, int k);
 long long degree_lower_bound(const CsrGraph& g, int k);
 
 }  // namespace tgroom

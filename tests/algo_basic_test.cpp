@@ -7,6 +7,7 @@
 #include "gen/families.hpp"
 #include "gen/random_graph.hpp"
 #include "graph/properties.hpp"
+#include "test_graphs.hpp"
 
 namespace tgroom {
 namespace {
@@ -16,7 +17,7 @@ TEST(Components, CountsAndLabels) {
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(3, 4);
-  Components c = connected_components(g);
+  Components c = connected_components(CsrGraph(g));
   EXPECT_EQ(c.count, 3);  // {0,1,2}, {3,4}, {5}
   EXPECT_EQ(c.label[0], c.label[2]);
   EXPECT_NE(c.label[0], c.label[3]);
@@ -29,7 +30,7 @@ TEST(Components, MaskedVariant) {
   std::vector<char> mask(6, 1);
   mask[0] = 0;
   mask[3] = 0;
-  Components c = connected_components_masked(g, mask);
+  Components c = connected_components_masked(CsrGraph(g), mask);
   EXPECT_EQ(c.count, 2);
 }
 
@@ -70,7 +71,7 @@ TEST_P(SpanningTreeP, ValidForestOnVariousGraphs) {
 
   for (const Graph& g : graphs) {
     Rng tree_rng(7);
-    auto tree = spanning_forest(g, GetParam(), &tree_rng);
+    auto tree = forest_of(CsrGraph(g), GetParam(), &tree_rng);
     EXPECT_TRUE(is_spanning_forest(g, tree));
   }
 }
@@ -122,9 +123,8 @@ TEST(SpanningTree, BfsEarlyExitGivesTheFullSweepTree) {
   graphs.push_back(tail_isolated);
   for (const Graph& g : graphs) {
     const std::vector<EdgeId> expected = full_sweep_bfs_forest(g);
-    EXPECT_EQ(spanning_forest(g, TreePolicy::kBfs), expected);
     const CsrGraph csr(g);
-    EXPECT_EQ(spanning_forest(csr, TreePolicy::kBfs), expected);
+    EXPECT_EQ(forest_of(csr, TreePolicy::kBfs), expected);
     MonotonicArena arena;
     std::vector<EdgeId> out;
     spanning_forest(csr, TreePolicy::kBfs, nullptr, out, &arena);
@@ -134,7 +134,10 @@ TEST(SpanningTree, BfsEarlyExitGivesTheFullSweepTree) {
 
 TEST(SpanningTree, RandomPolicyNeedsRng) {
   Graph g = cycle_graph(4);
-  EXPECT_THROW(spanning_forest(g, TreePolicy::kRandom, nullptr), CheckError);
+  std::vector<EdgeId> out;
+  EXPECT_THROW(
+      spanning_forest(CsrGraph(g), TreePolicy::kRandom, nullptr, out, nullptr),
+      CheckError);
 }
 
 TEST(SpanningTree, IsSpanningForestRejectsCycles) {
@@ -159,21 +162,21 @@ TEST(MinDegreeTree, BeatsBfsOnStarOfPaths) {
   Graph g = cycle_graph(n);
   NodeId hub = g.add_node();
   for (NodeId v = 0; v < n; ++v) g.add_edge(hub, v);
-  auto tree = min_max_degree_forest(g);
+  const CsrGraph csr(g);
+  auto tree = min_max_degree_forest(csr);
   EXPECT_TRUE(is_spanning_forest(g, tree));
-  EXPECT_LE(forest_max_degree(g, tree), 3);
+  EXPECT_LE(forest_max_degree(csr, tree), 3);
 }
 
 TEST(MinDegreeTree, HamiltonianPathStaysDegreeTwo) {
-  Graph g = cycle_graph(10);
+  const CsrGraph g(cycle_graph(10));
   auto tree = min_max_degree_forest(g);
   EXPECT_EQ(forest_max_degree(g, tree), 2);
 }
 
 TEST(RootedForest, ParentStructure) {
-  Graph g = path_graph(5);
-  auto tree = spanning_forest(g, TreePolicy::kBfs);
-  RootedForest f = root_forest(g, tree);
+  const CsrGraph g(path_graph(5));
+  RootedForest f = rooted(g, forest_of(g, TreePolicy::kBfs));
   EXPECT_EQ(f.preorder.size(), 5u);
   EXPECT_EQ(f.parent[static_cast<std::size_t>(f.preorder[0])], kInvalidNode);
   // Every non-root's parent appears earlier in preorder.
@@ -190,9 +193,8 @@ TEST(RootedForest, ParentStructure) {
 
 TEST(RootedForest, SubtreeSums) {
   // Star with hub 0: the hub's subtree holds everything; leaves hold 1.
-  Graph g = star_graph(5);
-  auto tree = spanning_forest(g, TreePolicy::kBfs);
-  RootedForest f = root_forest(g, tree);
+  const CsrGraph g(star_graph(5));
+  RootedForest f = rooted(g, forest_of(g, TreePolicy::kBfs));
   std::vector<long long> weight(5, 1);
   auto sums = subtree_sums(f, weight);
   EXPECT_EQ(sums[static_cast<std::size_t>(f.preorder[0])], 5);
@@ -201,11 +203,9 @@ TEST(RootedForest, SubtreeSums) {
 TEST(RootedForest, OddSubtreeEdges) {
   // Path 0-1-2-3 with odd weight only at the two ends: the middle edge has
   // an odd-weight subtree below it; end edges too.
-  Graph g = path_graph(4);
-  std::vector<EdgeId> tree{0, 1, 2};
-  RootedForest f = root_forest(g, tree);
+  RootedForest f = rooted(CsrGraph(path_graph(4)), {0, 1, 2});
   std::vector<long long> weight{1, 0, 0, 1};
-  auto odd = odd_subtree_edges(g, f, weight);
+  auto odd = odd_subtree_edges(f, weight);
   // Rooted at 0: edges below subtrees {1,2,3}(w=1), {2,3}(w=1), {3}(w=1):
   // all three edges are odd.
   EXPECT_EQ(odd.size(), 3u);

@@ -13,7 +13,7 @@ TEST(Anneal, NeverRegressesAndStaysValid) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     Rng rng(seed);
     Graph g = random_gnm(20, 60, rng);
-    EdgePartition p = spant_euler(g, 6);
+    EdgePartition p = spant_euler(CsrGraph(g), 6);
     long long before = sadm_cost(g, p);
     AnnealOptions options;
     options.seed = seed + 1;
@@ -46,21 +46,21 @@ TEST(Anneal, EscapesWhereHillClimbingCanHelpFurther) {
   // than a single hill-climb from the same start.
   Rng rng(4);
   Graph g = random_gnm(24, 120, rng);
-  EdgePartition hill = spant_euler(g, 8);
+  EdgePartition hill = spant_euler(CsrGraph(g), 8);
   EdgePartition annealed = hill;  // same starting point
-  refine_partition(g, hill);
+  refine_partition(CsrGraph(g), hill);
   AnnealOptions options;
   options.iterations = 30000;
   options.seed = 9;
   anneal_partition(g, annealed, options);
-  refine_partition(g, annealed);  // final polish
+  refine_partition(CsrGraph(g), annealed);  // final polish
   EXPECT_LE(sadm_cost(g, annealed), sadm_cost(g, hill) + 2);
 }
 
 TEST(Anneal, ZeroIterationsIsIdentity) {
   Rng rng(2);
   Graph g = random_gnm(10, 20, rng);
-  EdgePartition p = spant_euler(g, 4);
+  EdgePartition p = spant_euler(CsrGraph(g), 4);
   EdgePartition copy = p;
   AnnealOptions options;
   options.iterations = 0;
@@ -83,7 +83,7 @@ TEST(Anneal, SinglePartIsIdentity) {
 TEST(Anneal, DeterministicForFixedSeed) {
   Rng rng(6);
   Graph g = random_gnm(16, 40, rng);
-  EdgePartition a = spant_euler(g, 4);
+  EdgePartition a = spant_euler(CsrGraph(g), 4);
   EdgePartition b = a;
   AnnealOptions options;
   options.seed = 42;
@@ -96,7 +96,7 @@ TEST(Anneal, DeterministicForFixedSeed) {
 TEST(Anneal, UphillMovesActuallyHappen) {
   Rng rng(8);
   Graph g = random_gnm(20, 80, rng);
-  EdgePartition p = spant_euler(g, 8);
+  EdgePartition p = spant_euler(CsrGraph(g), 8);
   AnnealOptions options;
   options.iterations = 10000;
   options.start_temperature = 3.0;

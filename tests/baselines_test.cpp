@@ -29,7 +29,7 @@ class BaselineP
 TEST_P(BaselineP, GoldschmidtValidMinWavelengths) {
   Graph g = make_graph();
   for (int k : {3, 8, 16}) {
-    EdgePartition p = goldschmidt_spanning_tree(g, k);
+    EdgePartition p = goldschmidt_spanning_tree(CsrGraph(g), k);
     expect_valid(g, p);
     EXPECT_TRUE(uses_min_wavelengths(g, p)) << "k=" << k;
   }
@@ -38,7 +38,7 @@ TEST_P(BaselineP, GoldschmidtValidMinWavelengths) {
 TEST_P(BaselineP, BraunerValidMinWavelengths) {
   Graph g = make_graph();
   for (int k : {3, 8, 16}) {
-    EdgePartition p = brauner_euler(g, k);
+    EdgePartition p = brauner_euler(CsrGraph(g), k);
     expect_valid(g, p);
     EXPECT_TRUE(uses_min_wavelengths(g, p)) << "k=" << k;
   }
@@ -47,7 +47,7 @@ TEST_P(BaselineP, BraunerValidMinWavelengths) {
 TEST_P(BaselineP, WangGuValidMinWavelengths) {
   Graph g = make_graph();
   for (int k : {3, 8, 16}) {
-    EdgePartition p = wanggu_skeleton_cover(g, k);
+    EdgePartition p = wanggu_skeleton_cover(CsrGraph(g), k);
     expect_valid(g, p);
     EXPECT_TRUE(uses_min_wavelengths(g, p)) << "k=" << k;
   }
@@ -62,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Brauner, EulerianGraphHasNoVirtualEdges) {
   Graph g = cycle_graph(10);
   BraunerTrace trace;
-  EdgePartition p = brauner_euler(g, 4, {}, &trace);
+  EdgePartition p = brauner_euler(CsrGraph(g), 4, {}, &trace);
   expect_valid(g, p);
   EXPECT_EQ(trace.virtual_edges, 0);
   EXPECT_EQ(trace.segments, 1);
@@ -71,7 +71,7 @@ TEST(Brauner, EulerianGraphHasNoVirtualEdges) {
 TEST(Brauner, OpenPathGraphNeedsNoVirtualEdges) {
   Graph g = path_graph(9);  // exactly two odd nodes
   BraunerTrace trace;
-  EdgePartition p = brauner_euler(g, 3, {}, &trace);
+  EdgePartition p = brauner_euler(CsrGraph(g), 3, {}, &trace);
   expect_valid(g, p);
   EXPECT_EQ(trace.virtual_edges, 0);
 }
@@ -79,7 +79,7 @@ TEST(Brauner, OpenPathGraphNeedsNoVirtualEdges) {
 TEST(Brauner, StarNeedsManyVirtualEdges) {
   Graph g = star_graph(9);  // 8 leaves odd + hub even(8): 8 odd nodes
   BraunerTrace trace;
-  EdgePartition p = brauner_euler(g, 4, {}, &trace);
+  EdgePartition p = brauner_euler(CsrGraph(g), 4, {}, &trace);
   expect_valid(g, p);
   // 8 odd nodes: 2 stay path ends, 6 are paired -> 3 virtual edges.
   EXPECT_EQ(trace.virtual_edges, 3);
@@ -95,14 +95,14 @@ TEST(Brauner, DisconnectedComponentsChained) {
   g.add_edge(6, 7);
   g.add_edge(7, 8);  // path (two odd)
   BraunerTrace trace;
-  EdgePartition p = brauner_euler(g, 3, {}, &trace);
+  EdgePartition p = brauner_euler(CsrGraph(g), 3, {}, &trace);
   expect_valid(g, p);
   EXPECT_EQ(trace.virtual_edges, 2);  // two chaining edges
 }
 
 TEST(Goldschmidt, TreeInputGivesSubtreeParts) {
   Graph g = caterpillar_graph(6, 1);  // 11 edges
-  EdgePartition p = goldschmidt_spanning_tree(g, 4);
+  EdgePartition p = goldschmidt_spanning_tree(CsrGraph(g), 4);
   expect_valid(g, p);
   // Parts of a tree have >= k+1 nodes each; with contiguous subtree cutting
   // the first two parts have exactly 5 nodes.
@@ -112,8 +112,8 @@ TEST(Goldschmidt, TreeInputGivesSubtreeParts) {
 TEST(Goldschmidt, DeterministicAcrossCalls) {
   Rng rng(5);
   Graph g = random_gnm(20, 50, rng);
-  EdgePartition a = goldschmidt_spanning_tree(g, 8);
-  EdgePartition b = goldschmidt_spanning_tree(g, 8);
+  EdgePartition a = goldschmidt_spanning_tree(CsrGraph(g), 8);
+  EdgePartition b = goldschmidt_spanning_tree(CsrGraph(g), 8);
   EXPECT_EQ(a.parts, b.parts);
 }
 
@@ -121,7 +121,7 @@ TEST(WangGu, ProducesRealSkeletonCover) {
   Rng rng(6);
   Graph g = random_gnm(24, 100, rng);
   WangGuTrace trace;
-  EdgePartition p = wanggu_skeleton_cover(g, 8, {}, &trace);
+  EdgePartition p = wanggu_skeleton_cover(CsrGraph(g), 8, {}, &trace);
   expect_valid(g, p);
   EXPECT_TRUE(validate_cover(g, trace.cover));
   EXPECT_TRUE(cover_spans_all_edges(g, trace.cover));
@@ -130,7 +130,7 @@ TEST(WangGu, ProducesRealSkeletonCover) {
 TEST(WangGu, PathGraphIsOneSkeleton) {
   Graph g = path_graph(10);
   WangGuTrace trace;
-  EdgePartition p = wanggu_skeleton_cover(g, 4, {}, &trace);
+  EdgePartition p = wanggu_skeleton_cover(CsrGraph(g), 4, {}, &trace);
   expect_valid(g, p);
   EXPECT_EQ(trace.cover.size(), 1u);
 }
@@ -138,15 +138,15 @@ TEST(WangGu, PathGraphIsOneSkeleton) {
 TEST(WangGu, StarIsOneSkeleton) {
   Graph g = star_graph(10);
   WangGuTrace trace;
-  wanggu_skeleton_cover(g, 4, {}, &trace);
+  wanggu_skeleton_cover(CsrGraph(g), 4, {}, &trace);
   EXPECT_EQ(trace.cover.size(), 1u);  // 2-edge backbone + 7 branches
 }
 
 TEST(Baselines, EmptyGraphsAreFine) {
   Graph g(4);
-  EXPECT_TRUE(goldschmidt_spanning_tree(g, 3).parts.empty());
-  EXPECT_TRUE(brauner_euler(g, 3).parts.empty());
-  EXPECT_TRUE(wanggu_skeleton_cover(g, 3).parts.empty());
+  EXPECT_TRUE(goldschmidt_spanning_tree(CsrGraph(g), 3).parts.empty());
+  EXPECT_TRUE(brauner_euler(CsrGraph(g), 3).parts.empty());
+  EXPECT_TRUE(wanggu_skeleton_cover(CsrGraph(g), 3).parts.empty());
 }
 
 TEST(Baselines, SparseVsDenseCharacteristics) {
@@ -156,7 +156,7 @@ TEST(Baselines, SparseVsDenseCharacteristics) {
   long long tree_algo1 = 0, tree_algo2 = 0;
   long long dense_algo1 = 0, dense_algo2 = 0;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    Graph sparse = caterpillar_graph(12, 2);  // a tree
+    const CsrGraph sparse(caterpillar_graph(12, 2));  // a tree
     tree_algo1 += sadm_cost(sparse, goldschmidt_spanning_tree(sparse, 4));
     tree_algo2 += sadm_cost(sparse, brauner_euler(sparse, 4));
 
@@ -164,7 +164,7 @@ TEST(Baselines, SparseVsDenseCharacteristics) {
     // (m ~ 441 of 630) is the dense-but-not-complete regime the paper
     // plots.
     Rng rng(seed);
-    Graph dense = random_dense_ratio(36, 0.7, rng);
+    const CsrGraph dense(random_dense_ratio(36, 0.7, rng));
     dense_algo1 += sadm_cost(dense, goldschmidt_spanning_tree(dense, 4));
     dense_algo2 += sadm_cost(dense, brauner_euler(dense, 4));
   }

@@ -11,13 +11,13 @@ namespace {
 
 TEST(EdgeColoring, EmptyAndSingleEdge) {
   Graph empty(4);
-  auto c0 = misra_gries_edge_coloring(empty);
+  auto c0 = misra_gries_edge_coloring(CsrGraph(empty));
   EXPECT_EQ(c0.color_count, 0);
   EXPECT_TRUE(is_proper_edge_coloring(empty, c0));
 
   Graph one(2);
   one.add_edge(0, 1);
-  auto c1 = misra_gries_edge_coloring(one);
+  auto c1 = misra_gries_edge_coloring(CsrGraph(one));
   EXPECT_EQ(c1.color_count, 1);
   EXPECT_TRUE(is_proper_edge_coloring(one, c1));
 }
@@ -26,7 +26,7 @@ TEST(EdgeColoring, PathWithinVizingBound) {
   // Paths are class 1 (χ' = 2) but Misra–Gries only promises Δ+1; it may
   // legitimately use the extra color depending on fan orientation.
   Graph g = path_graph(6);
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
   EXPECT_LE(c.color_count, 3);
   EXPECT_GE(c.color_count, 2);
@@ -34,21 +34,21 @@ TEST(EdgeColoring, PathWithinVizingBound) {
 
 TEST(EdgeColoring, OddCycleNeedsThreeColors) {
   Graph g = cycle_graph(5);
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
   EXPECT_EQ(c.color_count, 3);  // Δ+1 is forced for odd cycles
 }
 
 TEST(EdgeColoring, StarUsesExactlyDeltaColors) {
   Graph g = star_graph(7);
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
   EXPECT_EQ(c.color_count, 6);
 }
 
 TEST(EdgeColoring, PetersenWithinVizing) {
   Graph g = petersen_graph();  // class 2: chromatic index 4 = Δ+1
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
   EXPECT_LE(c.color_count, 4);
   EXPECT_GE(c.color_count, 3);
@@ -58,14 +58,14 @@ TEST(EdgeColoring, RejectsParallelRealEdges) {
   Graph g(2);
   g.add_edge(0, 1);
   g.add_edge(0, 1);
-  EXPECT_THROW(misra_gries_edge_coloring(g), CheckError);
+  EXPECT_THROW(misra_gries_edge_coloring(CsrGraph(g)), CheckError);
 }
 
 TEST(EdgeColoring, SkipsVirtualEdges) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2, /*is_virtual=*/true);
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_EQ(c.color[1], -1);
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
 }
@@ -91,7 +91,7 @@ TEST_P(ColoringRandomP, ProperAndWithinVizingBound) {
   Rng rng(static_cast<std::uint64_t>(seed));
   Graph g = random_gnm(static_cast<NodeId>(n), std::min<long long>(m, cap),
                        rng);
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
   EXPECT_LE(c.color_count, max_degree(g) + 1);
 }
@@ -110,7 +110,7 @@ TEST_P(ColoringRegularP, RegularGraphsGetAtMostRPlusOne) {
   Rng rng(42);
   Graph g = random_regular(static_cast<NodeId>(n), static_cast<NodeId>(r),
                            rng);
-  auto c = misra_gries_edge_coloring(g);
+  auto c = misra_gries_edge_coloring(CsrGraph(g));
   EXPECT_TRUE(is_proper_edge_coloring(g, c));
   EXPECT_LE(c.color_count, r + 1);
 }
@@ -126,7 +126,7 @@ TEST(EdgeColoring, CompleteBipartiteWithinVizing) {
   // proper on this maximally constrained family.
   for (NodeId n : {3, 5, 8}) {
     Graph g = complete_bipartite(n, n);
-    auto c = misra_gries_edge_coloring(g);
+    auto c = misra_gries_edge_coloring(CsrGraph(g));
     EXPECT_TRUE(is_proper_edge_coloring(g, c)) << "K_" << n << "," << n;
     EXPECT_LE(c.color_count, n + 1);
   }
@@ -135,7 +135,7 @@ TEST(EdgeColoring, CompleteBipartiteWithinVizing) {
 TEST(EdgeColoring, CompleteGraphsStress) {
   for (NodeId n : {4, 5, 6, 7, 8, 9}) {
     Graph g = complete_graph(n);
-    auto c = misra_gries_edge_coloring(g);
+    auto c = misra_gries_edge_coloring(CsrGraph(g));
     EXPECT_TRUE(is_proper_edge_coloring(g, c)) << "K" << n;
     EXPECT_LE(c.color_count, n);  // K_n is (n-1)- or n-edge-chromatic
   }

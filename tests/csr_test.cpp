@@ -1,5 +1,7 @@
-// CsrGraph: structural equality with Graph and bit-identical kernel output
-// on both representations — the determinism contract the hot path relies on.
+// CsrGraph: structural equality with Graph, and bit-identical kernel output
+// whichever way the snapshot was built (from a Graph or straight from its
+// edge list) and wherever the kernel's scratch lives — the determinism
+// contract the hot path relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include "graph/csr_graph.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/properties.hpp"
+#include "test_graphs.hpp"
 
 namespace tgroom {
 namespace {
@@ -69,7 +72,16 @@ void expect_same_structure(const Graph& g, const CsrGraph& csr) {
       EXPECT_EQ(actual[i].edge, expected[i].edge);
     }
     EXPECT_EQ(csr.degree(v), g.degree(v));
+    EXPECT_EQ(csr.real_degree(v), g.real_degree(v));
   }
+}
+
+// The snapshot a parsed request carries: built straight from g's edge list.
+CsrGraph assigned(const Graph& g) {
+  CsrGraph csr;
+  csr.assign(g.node_count(),
+             std::vector<Edge>(g.edges().begin(), g.edges().end()));
+  return csr;
 }
 
 TEST(CsrGraph, MatchesGraphStructure) {
@@ -113,18 +125,6 @@ TEST(CsrGraph, AssignRejectsMalformedEdges) {
   EXPECT_THROW(csr.assign(-1, {}), CheckError);
 }
 
-TEST(CsrGraph, ToGraphRoundTrips) {
-  for (const Graph& g : test_graphs()) {
-    const Graph back = CsrGraph(g).to_graph();
-    expect_same_structure(back, CsrGraph(g));
-    expect_same_structure(g, CsrGraph(back));
-    EXPECT_EQ(graph_fingerprint(back), graph_fingerprint(g));
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      EXPECT_EQ(CsrGraph(g).real_degree(v), g.real_degree(v));
-    }
-  }
-}
-
 // Reference for is_simple: sort the real edges' endpoint pairs and look
 // for a repeat.
 bool has_no_parallel_real_edges(const Graph& g) {
@@ -160,33 +160,45 @@ TEST(CsrGraph, IsSimpleMatchesGraph) {
 
 TEST(CsrGraph, SpanningForestIdenticalPerPolicy) {
   for (const Graph& g : test_graphs()) {
-    CsrGraph csr(g);
+    const CsrGraph csr(g);
+    const CsrGraph parsed = assigned(g);
     for (TreePolicy policy : {TreePolicy::kBfs, TreePolicy::kDfs,
                               TreePolicy::kMinMaxDegree}) {
-      EXPECT_EQ(spanning_forest(csr, policy), spanning_forest(g, policy))
+      const std::vector<EdgeId> expected = forest_of(csr, policy);
+      EXPECT_EQ(forest_of(parsed, policy), expected)
           << tree_policy_name(policy);
+      MonotonicArena arena;
+      std::vector<EdgeId> out;
+      spanning_forest(csr, policy, nullptr, out, &arena);
+      EXPECT_EQ(out, expected) << tree_policy_name(policy);
     }
     // The randomized policy must consume its RNG identically too.
     Rng rng_graph(7), rng_csr(7);
-    EXPECT_EQ(spanning_forest(csr, TreePolicy::kRandom, &rng_csr),
-              spanning_forest(g, TreePolicy::kRandom, &rng_graph));
+    EXPECT_EQ(forest_of(parsed, TreePolicy::kRandom, &rng_csr),
+              forest_of(csr, TreePolicy::kRandom, &rng_graph));
     EXPECT_EQ(rng_csr(), rng_graph());
   }
 }
 
 TEST(CsrGraph, ComponentsIdentical) {
   for (const Graph& g : test_graphs()) {
-    CsrGraph csr(g);
-    Components expected = connected_components(g);
-    Components actual = connected_components(csr);
+    const CsrGraph csr(g);
+    const Components expected = connected_components(csr);
+    MonotonicArena arena;
+    const Components actual = connected_components(assigned(g), &arena);
     EXPECT_EQ(actual.count, expected.count);
     EXPECT_EQ(actual.label, expected.label);
 
-    // Mask out every other edge.
-    std::vector<char> mask(static_cast<std::size_t>(g.edge_count()), 0);
-    for (std::size_t e = 0; e < mask.size(); e += 2) mask[e] = 1;
-    Components expected_masked = connected_components_masked(g, mask);
-    Components actual_masked = connected_components_masked(csr, mask);
+    // A full mask labels as the unmasked sweep; then mask out every other
+    // edge.
+    std::vector<char> mask(static_cast<std::size_t>(g.edge_count()), 1);
+    const Components full = connected_components_masked(csr, mask);
+    EXPECT_EQ(full.count, expected.count);
+    EXPECT_EQ(full.label, expected.label);
+    for (std::size_t e = 1; e < mask.size(); e += 2) mask[e] = 0;
+    const Components expected_masked = connected_components_masked(csr, mask);
+    const Components actual_masked =
+        connected_components_masked(assigned(g), mask);
     EXPECT_EQ(actual_masked.count, expected_masked.count);
     EXPECT_EQ(actual_masked.label, expected_masked.label);
   }
@@ -206,53 +218,65 @@ TEST(CsrGraph, EulerDecompositionIdentical) {
   for (NodeId r : {2, 4, 8}) {
     Rng rng(static_cast<std::uint64_t>(100 + r));
     Graph g = random_regular(18, r, rng);
-    CsrGraph csr(g);
+    const CsrGraph csr(g);
     std::vector<char> mask(static_cast<std::size_t>(g.edge_count()), 1);
-    auto expected = euler_decomposition(g, mask);
-    auto actual = euler_decomposition(csr, mask);
+    MonotonicArena arena;
+    const ArenaWalkList expected = euler_decomposition(csr, mask, arena);
+    const ArenaWalkList actual =
+        euler_decomposition(assigned(g), mask, arena, MaskDegrees::kAllEven);
     ASSERT_EQ(actual.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(actual[i].nodes, expected[i].nodes);
       EXPECT_EQ(actual[i].edges, expected[i].edges);
-      EXPECT_TRUE(is_valid_walk(csr, actual[i]));
     }
-    // Single-walk entry point from an arbitrary even-degree start.
-    Walk w_graph = euler_walk_from(g, mask, 0);
-    Walk w_csr = euler_walk_from(csr, mask, 0);
-    EXPECT_EQ(w_csr.nodes, w_graph.nodes);
-    EXPECT_EQ(w_csr.edges, w_graph.edges);
+    // Single-walk entry point from node 0, the first walk's start: it
+    // walks node 0's component exactly as the decomposition does.
+    const Walk walk = euler_walk_from(csr, mask, 0);
+    EXPECT_TRUE(std::equal(walk.nodes.begin(), walk.nodes.end(),
+                           expected[0].nodes.begin(), expected[0].nodes.end()));
+    EXPECT_TRUE(std::equal(walk.edges.begin(), walk.edges.end(),
+                           expected[0].edges.begin(), expected[0].edges.end()));
+    EXPECT_TRUE(is_valid_walk(g, walk));
   }
 }
 
 TEST(CsrGraph, RootedForestAndOddSubtreesIdentical) {
   for (const Graph& g : test_graphs()) {
-    CsrGraph csr(g);
-    std::vector<EdgeId> tree = spanning_forest(g, TreePolicy::kBfs);
-    RootedForest expected = root_forest(g, tree);
-    RootedForest actual = root_forest(csr, tree);
+    const CsrGraph csr(g);
+    const std::vector<EdgeId> tree = forest_of(csr, TreePolicy::kBfs);
+    const RootedForest expected = rooted(csr, tree);
+    MonotonicArena arena;
+    RootedForest actual;
+    root_forest(assigned(g), tree, actual, &arena);
     EXPECT_EQ(actual.parent, expected.parent);
     EXPECT_EQ(actual.parent_edge, expected.parent_edge);
     EXPECT_EQ(actual.preorder, expected.preorder);
     EXPECT_EQ(actual.root_of, expected.root_of);
 
-    std::vector<long long> weight(
-        static_cast<std::size_t>(g.node_count()), 0);
+    // The packed-parity form equals the weighted form on the weights'
+    // parities.
+    const auto n = static_cast<std::size_t>(g.node_count());
+    std::vector<long long> weight(n, 0);
+    std::vector<std::uint64_t> parity(parity_word_count(n), 0);
     for (NodeId v = 0; v < g.node_count(); ++v) {
       weight[static_cast<std::size_t>(v)] = v % 3;
+      if (v % 3 == 1) parity_flip(parity, v);
     }
-    EXPECT_EQ(odd_subtree_edges(csr, actual, weight),
-              odd_subtree_edges(g, expected, weight));
+    std::vector<EdgeId> odd;
+    odd_subtree_edges_parity(actual, parity, odd, &arena);
+    EXPECT_EQ(odd, odd_subtree_edges(expected, weight));
   }
 }
 
 TEST(CsrGraph, MinMaxDegreeForestIdentical) {
   for (const Graph& g : test_graphs()) {
-    CsrGraph csr(g);
-    std::vector<EdgeId> expected = min_max_degree_forest(g);
-    std::vector<EdgeId> actual = min_max_degree_forest(csr);
+    const CsrGraph csr(g);
+    const std::vector<EdgeId> expected =
+        forest_of(csr, TreePolicy::kMinMaxDegree);
+    const std::vector<EdgeId> actual = min_max_degree_forest(assigned(g));
     EXPECT_EQ(actual, expected);
-    EXPECT_EQ(forest_max_degree(csr, actual),
-              forest_max_degree(g, expected));
+    EXPECT_EQ(forest_max_degree(assigned(g), actual),
+              forest_max_degree(csr, expected));
   }
 }
 

@@ -9,6 +9,7 @@
 #include "gen/random_graph.hpp"
 #include "gen/regular_graph.hpp"
 #include "graph/properties.hpp"
+#include "test_graphs.hpp"
 
 namespace tgroom {
 namespace {
@@ -17,9 +18,35 @@ std::vector<char> full_mask(const Graph& g) {
   return std::vector<char>(static_cast<std::size_t>(g.edge_count()), 1);
 }
 
+// The decomposition of a CsrGraph(g) snapshot, copied into heap walks for
+// is_valid_walk.
+std::vector<Walk> decompose(const Graph& g, const std::vector<char>& mask) {
+  MonotonicArena arena;
+  std::vector<Walk> walks;
+  for (const ArenaWalk& w : euler_decomposition(CsrGraph(g), mask, arena)) {
+    walks.push_back(Walk{{w.nodes.begin(), w.nodes.end()},
+                         {w.edges.begin(), w.edges.end()}});
+  }
+  return walks;
+}
+
+// for_each_real_segment's segments of `walk`, as heap walks.
+std::vector<Walk> real_segments(const Graph& g, const Walk& walk) {
+  MonotonicArena arena;
+  ArenaWalk arena_walk(&arena);
+  arena_walk.nodes.assign(walk.nodes.begin(), walk.nodes.end());
+  arena_walk.edges.assign(walk.edges.begin(), walk.edges.end());
+  std::vector<Walk> segments;
+  for_each_real_segment(CsrGraph(g), arena_walk, arena, [&](ArenaWalk&& w) {
+    segments.push_back(Walk{{w.nodes.begin(), w.nodes.end()},
+                            {w.edges.begin(), w.edges.end()}});
+  });
+  return segments;
+}
+
 TEST(Euler, CycleHasCircuit) {
   Graph g = cycle_graph(6);
-  auto walks = euler_decomposition(g, full_mask(g));
+  auto walks = decompose(g, full_mask(g));
   ASSERT_EQ(walks.size(), 1u);
   EXPECT_EQ(walks[0].edges.size(), 6u);
   EXPECT_EQ(walks[0].nodes.front(), walks[0].nodes.back());  // closed
@@ -28,7 +55,7 @@ TEST(Euler, CycleHasCircuit) {
 
 TEST(Euler, PathHasOpenWalk) {
   Graph g = path_graph(5);
-  auto walks = euler_decomposition(g, full_mask(g));
+  auto walks = decompose(g, full_mask(g));
   ASSERT_EQ(walks.size(), 1u);
   EXPECT_EQ(walks[0].edges.size(), 4u);
   EXPECT_NE(walks[0].nodes.front(), walks[0].nodes.back());
@@ -36,7 +63,7 @@ TEST(Euler, PathHasOpenWalk) {
 
 TEST(Euler, StartsAtOddNodeWhenPresent) {
   Graph g = path_graph(4);
-  auto walks = euler_decomposition(g, full_mask(g));
+  auto walks = decompose(g, full_mask(g));
   ASSERT_EQ(walks.size(), 1u);
   NodeId start = walks[0].nodes.front();
   EXPECT_TRUE(start == 0 || start == 3);
@@ -44,19 +71,19 @@ TEST(Euler, StartsAtOddNodeWhenPresent) {
 
 TEST(Euler, StarWithThreeLeavesRejected) {
   Graph g = star_graph(4);  // 4 odd-degree nodes
-  EXPECT_THROW(euler_decomposition(g, full_mask(g)), CheckError);
+  EXPECT_THROW(decompose(g, full_mask(g)), CheckError);
 }
 
 TEST(Euler, WalkFromWrongStartRejected) {
   Graph g = path_graph(4);
   // Node 1 is a mid-point (even degree), start there -> invalid walk.
-  EXPECT_THROW(euler_walk_from(g, full_mask(g), 1), CheckError);
+  EXPECT_THROW(euler_walk_from(CsrGraph(g), full_mask(g), 1), CheckError);
 }
 
 TEST(Euler, SingleNodeComponentGivesTrivialWalk) {
   Graph g(3);
   g.add_edge(0, 1);
-  auto walk = euler_walk_from(g, full_mask(g), 2);
+  auto walk = euler_walk_from(CsrGraph(g), full_mask(g), 2);
   EXPECT_TRUE(walk.empty());
   EXPECT_EQ(walk.nodes, (std::vector<NodeId>{2}));
 }
@@ -71,7 +98,7 @@ TEST(Euler, MultipleComponents) {
   g.add_edge(4, 5);
   g.add_edge(5, 6);
   g.add_edge(6, 3);
-  auto walks = euler_decomposition(g, full_mask(g));
+  auto walks = decompose(g, full_mask(g));
   EXPECT_EQ(walks.size(), 2u);
   std::size_t total = 0;
   for (const auto& w : walks) total += w.edges.size();
@@ -89,7 +116,7 @@ TEST(Euler, MaskRestrictsEdges) {
   set_pair(1, 2);
   set_pair(2, 3);
   set_pair(0, 3);
-  auto walks = euler_decomposition(g, mask);
+  auto walks = decompose(g, mask);
   ASSERT_EQ(walks.size(), 1u);
   EXPECT_EQ(walks[0].edges.size(), 4u);
 }
@@ -98,7 +125,7 @@ TEST(Euler, HandlesParallelVirtualEdges) {
   Graph g(2);
   g.add_edge(0, 1);
   g.add_edge(0, 1, /*is_virtual=*/true);
-  auto walks = euler_decomposition(g, full_mask(g));
+  auto walks = decompose(g, full_mask(g));
   ASSERT_EQ(walks.size(), 1u);
   EXPECT_EQ(walks[0].edges.size(), 2u);
 }
@@ -124,7 +151,7 @@ TEST(Euler, SplitWalkOnVirtual) {
   EdgeId e23 = g.add_edge(2, 3);
   EdgeId e34 = g.add_edge(3, 4);
   Walk walk{{0, 1, 2, 3, 4}, {e01, e12, e23, e34}};
-  auto segments = split_walk_on_virtual(g, walk);
+  auto segments = real_segments(g, walk);
   ASSERT_EQ(segments.size(), 2u);
   EXPECT_EQ(segments[0].edges, (std::vector<EdgeId>{e01}));
   EXPECT_EQ(segments[1].edges, (std::vector<EdgeId>{e23, e34}));
@@ -137,7 +164,7 @@ TEST(Euler, SplitWalkDropsEmptySegments) {
   EdgeId v12 = g.add_edge(1, 2, true);
   EdgeId e23 = g.add_edge(2, 3);
   Walk walk{{0, 1, 2, 3}, {v01, v12, e23}};
-  auto segments = split_walk_on_virtual(g, walk);
+  auto segments = real_segments(g, walk);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0].edges, (std::vector<EdgeId>{e23}));
 }
@@ -147,7 +174,7 @@ class EulerRandomP : public ::testing::TestWithParam<int> {};
 TEST_P(EulerRandomP, EvenRegularGraphsDecomposeFully) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   Graph g = random_regular(20, 4, rng);
-  auto walks = euler_decomposition(g, full_mask(g));
+  auto walks = decompose(g, full_mask(g));
   std::set<EdgeId> used;
   for (const auto& w : walks) {
     EXPECT_TRUE(is_valid_walk(g, w));
@@ -196,9 +223,9 @@ std::vector<char> random_even_mask(const Graph& g, double density,
     odd[static_cast<std::size_t>(g.edge(e).u)] ^= 1;
     odd[static_cast<std::size_t>(g.edge(e).v)] ^= 1;
   }
-  const RootedForest forest =
-      root_forest(g, spanning_forest(g, TreePolicy::kBfs));
-  for (EdgeId e : odd_subtree_edges(g, forest, odd)) {
+  const CsrGraph csr(g);
+  const RootedForest forest = rooted(csr, forest_of(csr, TreePolicy::kBfs));
+  for (EdgeId e : odd_subtree_edges(forest, odd)) {
     mask[static_cast<std::size_t>(e)] ^= 1;
   }
   return mask;
@@ -227,15 +254,12 @@ TEST(EulerLabelFree, EqualsLabelledWalksOnRandomEvenMasks) {
     const std::vector<char> mask = random_even_mask(g, density, rng);
     for (NodeId d : masked_degrees(g, mask)) ASSERT_EQ(d % 2, 0);
 
-    // The labelled Graph decomposition is the reference.
-    const std::vector<Walk> expected = euler_decomposition(g, mask);
+    // The labelled decomposition is the reference.
+    const std::vector<Walk> expected = decompose(g, mask);
     MonotonicArena arena;
     const ArenaWalkList label_free =
         euler_decomposition(csr, mask, arena, MaskDegrees::kAllEven);
     expect_same_walks(label_free, expected);
-    const ArenaWalkList labelled =
-        euler_decomposition(csr, mask, arena, MaskDegrees::kAny);
-    expect_same_walks(labelled, expected);
 
     std::size_t streamed = 0;
     euler_decomposition_stream(
@@ -288,10 +312,8 @@ TEST(EulerLabelled, HandlesClosedAndOpenComponents) {
   }
   const CsrGraph csr(g);
   MonotonicArena arena;
-  const std::vector<Walk> expected = euler_decomposition(g, full_mask(g));
   const ArenaWalkList actual =
       euler_decomposition(csr, full_mask(g), arena, MaskDegrees::kAny);
-  expect_same_walks(actual, expected);
   ASSERT_EQ(actual.size(), 4u);
   // Walks come out by their component's lowest node: 0, 1, 4, 10.
   EXPECT_EQ(actual[0].nodes.front(), 0);   // bowtie: closed at 0

@@ -82,7 +82,7 @@ TEST(Exact, HeuristicsNeverBeatOptimal) {
     Graph g = random_gnm(7, 11, rng);
     for (int k : {2, 3}) {
       long long opt = exact_optimal_partition(g, k).cost;
-      long long heuristic = sadm_cost(g, spant_euler(g, k));
+      long long heuristic = sadm_cost(g, spant_euler(CsrGraph(g), k));
       EXPECT_LE(opt, heuristic) << "seed=" << seed << " k=" << k;
     }
   }

@@ -18,14 +18,14 @@ void expect_valid_min_wavelength(const Graph& g, const EdgePartition& p) {
 
 TEST(CliquePack, TriangleForestIsOptimal) {
   Graph g = triangle_forest(4);  // 12 edges in 4 disjoint triangles
-  EdgePartition p = clique_pack(g, 3);
+  EdgePartition p = clique_pack(CsrGraph(g), 3);
   expect_valid_min_wavelength(g, p);
   EXPECT_EQ(sadm_cost(g, p), 12);  // each part exactly one triangle
 }
 
 TEST(CliquePack, CompleteGraphBlocks) {
   Graph g = complete_graph(6);  // 15 edges
-  EdgePartition p = clique_pack(g, 5);
+  EdgePartition p = clique_pack(CsrGraph(g), 5);
   expect_valid_min_wavelength(g, p);
   // K6 with k=5: three parts; dense packing keeps each around 4-5 nodes.
   EXPECT_LE(sadm_cost(g, p), 15);
@@ -39,7 +39,7 @@ TEST_P(CliquePackP, ValidOnRandomGraphs) {
   Rng rng(static_cast<std::uint64_t>(seed));
   Graph g = random_dense_ratio(36, dense, rng);
   for (int k : {3, 6, 16}) {
-    EdgePartition p = clique_pack(g, k);
+    EdgePartition p = clique_pack(CsrGraph(g), k);
     expect_valid_min_wavelength(g, p);
   }
 }
@@ -52,9 +52,9 @@ TEST(Refine, NeverWorsensAndStaysValid) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     Rng rng(seed);
     Graph g = random_gnm(20, 60, rng);
-    EdgePartition p = spant_euler(g, 6);
+    EdgePartition p = spant_euler(CsrGraph(g), 6);
     long long before = sadm_cost(g, p);
-    RefineStats stats = refine_partition(g, p);
+    RefineStats stats = refine_partition(CsrGraph(g), p);
     EXPECT_EQ(stats.cost_before, before);
     EXPECT_LE(stats.cost_after, stats.cost_before);
     EXPECT_EQ(sadm_cost(g, p), stats.cost_after);
@@ -74,15 +74,15 @@ TEST(Refine, FindsObviousImprovement) {
   bad.parts = {{0, 3, 1}, {2, 4, 5}};  // mixes the triangles
   long long before = sadm_cost(g, bad);
   EXPECT_EQ(before, 10);  // {e0,e3,e1} spans 5 nodes, {e2,e4,e5} spans 5
-  RefineStats stats = refine_partition(g, bad);
+  RefineStats stats = refine_partition(CsrGraph(g), bad);
   EXPECT_EQ(stats.cost_after, 6);  // swaps reassemble both triangles
   EXPECT_GT(stats.swaps + stats.relocations, 0);
 }
 
 TEST(Refine, FixedPointOnOptimal) {
   Graph g = triangle_forest(3);
-  EdgePartition p = clique_pack(g, 3);
-  RefineStats stats = refine_partition(g, p);
+  EdgePartition p = clique_pack(CsrGraph(g), 3);
+  RefineStats stats = refine_partition(CsrGraph(g), p);
   EXPECT_EQ(stats.cost_before, stats.cost_after);
   EXPECT_EQ(stats.passes, 1);
 }

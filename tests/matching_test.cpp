@@ -8,6 +8,7 @@
 #include "gen/random_graph.hpp"
 #include "gen/regular_graph.hpp"
 #include "graph/properties.hpp"
+#include "test_graphs.hpp"
 
 namespace tgroom {
 namespace {
@@ -38,7 +39,7 @@ std::size_t brute_force_matching_size(const Graph& g) {
 
 TEST(GreedyMatching, MaximalAndValid) {
   Graph g = complete_graph(7);
-  auto m = greedy_matching(g);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kGreedy);
   EXPECT_TRUE(is_matching(g, m));
   EXPECT_EQ(m.size(), 3u);  // maximal on K7 is always 3
 }
@@ -47,7 +48,7 @@ TEST(GreedyMatching, IgnoresVirtualEdges) {
   Graph g(4);
   g.add_edge(0, 1, /*is_virtual=*/true);
   g.add_edge(2, 3);
-  auto m = greedy_matching(g);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kGreedy);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_FALSE(g.edge(m[0]).is_virtual);
 }
@@ -65,19 +66,19 @@ TEST(IsMatching, RejectsSharedEndpointAndVirtual) {
 
 TEST(Blossom, PerfectMatchingOnEvenCycle) {
   Graph g = cycle_graph(8);
-  auto m = maximum_matching(g);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
   EXPECT_TRUE(is_matching(g, m));
   EXPECT_EQ(m.size(), 4u);
 }
 
 TEST(Blossom, OddCycleLeavesOneExposed) {
   Graph g = cycle_graph(9);
-  EXPECT_EQ(maximum_matching(g).size(), 4u);
+  EXPECT_EQ(matching_of(CsrGraph(g), MatchingPolicy::kBlossom).size(), 4u);
 }
 
 TEST(Blossom, PetersenHasPerfectMatching) {
   Graph g = petersen_graph();
-  auto m = maximum_matching(g);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
   EXPECT_TRUE(is_matching(g, m));
   EXPECT_EQ(m.size(), 5u);
 }
@@ -93,7 +94,7 @@ TEST(Blossom, RequiresAugmentationThroughBlossom) {
   g.add_edge(3, 4);
   g.add_edge(4, 5);
   g.add_edge(5, 3);
-  EXPECT_EQ(maximum_matching(g).size(), 3u);
+  EXPECT_EQ(matching_of(CsrGraph(g), MatchingPolicy::kBlossom).size(), 3u);
 }
 
 class BlossomRandomP : public ::testing::TestWithParam<int> {};
@@ -105,7 +106,7 @@ TEST_P(BlossomRandomP, MatchesBruteForceOnSmallGraphs) {
   long long m = static_cast<long long>(rng.below(
       static_cast<std::uint64_t>(max_m)));
   Graph g = random_gnm(n, m, rng);
-  auto matching = maximum_matching(g);
+  auto matching = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
   EXPECT_TRUE(is_matching(g, matching));
   EXPECT_EQ(matching.size(), brute_force_matching_size(g));
 }
@@ -122,7 +123,7 @@ TEST(Blossom, NestedBlossoms) {
   g.add_edge(6, 0);  // triangle 0-5-6 sharing node 0 with the pentagon
   g.add_edge(6, 7);
   g.add_edge(7, 8);  // tail
-  auto m = maximum_matching(g);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
   EXPECT_TRUE(is_matching(g, m));
   EXPECT_EQ(m.size(), 4u);  // 9 nodes: at most 4; achievable
 }
@@ -138,14 +139,21 @@ TEST(Blossom, ChainOfOddCycles) {
   }
   g.add_edge(2, 3);
   g.add_edge(5, 6);
-  auto m = maximum_matching(g);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
   EXPECT_TRUE(is_matching(g, m));
   EXPECT_EQ(m.size(), 4u);
 }
 
 TEST(Blossom, MatesArrayConsistent) {
   Graph g = complete_bipartite(3, 3);
-  auto mates = maximum_matching_mates(g);
+  std::vector<NodeId> mates(static_cast<std::size_t>(g.node_count()),
+                            kInvalidNode);
+  for (EdgeId e : matching_of(CsrGraph(g), MatchingPolicy::kBlossom)) {
+    EXPECT_EQ(mates[static_cast<std::size_t>(g.edge(e).u)], kInvalidNode);
+    EXPECT_EQ(mates[static_cast<std::size_t>(g.edge(e).v)], kInvalidNode);
+    mates[static_cast<std::size_t>(g.edge(e).u)] = g.edge(e).v;
+    mates[static_cast<std::size_t>(g.edge(e).v)] = g.edge(e).u;
+  }
   int matched = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     NodeId mate = mates[static_cast<std::size_t>(v)];
@@ -165,7 +173,7 @@ TEST_P(Lemma8P, MaximumMatchingMeetsLemma8Bound) {
     Rng rng(seed);
     Graph g = random_regular(static_cast<NodeId>(n), static_cast<NodeId>(r),
                              rng);
-    auto m = maximum_matching(g);
+    auto m = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
     EXPECT_GE(static_cast<long long>(m.size()),
               lemma8_matching_lower_bound(static_cast<NodeId>(n),
                                           static_cast<NodeId>(r)))
@@ -188,7 +196,7 @@ TEST(Lemma8, BoundFormula) {
 TEST(ColorClassMatching, ValidAndMeetsLemma8OnRegular) {
   Rng rng(3);
   Graph g = random_regular(36, 7, rng);
-  auto m = find_matching(g, MatchingPolicy::kColorClass);
+  auto m = matching_of(CsrGraph(g), MatchingPolicy::kColorClass);
   EXPECT_TRUE(is_matching(g, m));
   // Lemma 8's proof *is* this construction, so the bound must hold.
   EXPECT_GE(static_cast<long long>(m.size()),
@@ -201,7 +209,7 @@ TEST(MatchingPolicies, AllProduceValidMatchings) {
   for (auto policy : {MatchingPolicy::kGreedy, MatchingPolicy::kBlossom,
                       MatchingPolicy::kColorClass}) {
     Rng policy_rng(4);
-    auto m = find_matching(g, policy, &policy_rng);
+    auto m = matching_of(CsrGraph(g), policy, &policy_rng);
     EXPECT_TRUE(is_matching(g, m)) << matching_policy_name(policy);
     EXPECT_FALSE(m.empty());
   }
@@ -212,8 +220,9 @@ TEST(MatchingPolicies, BlossomDominatesGreedy) {
     Rng rng(seed);
     Graph g = random_gnm(16, 30, rng);
     Rng greedy_rng(seed);
-    auto greedy = greedy_matching(g, &greedy_rng);
-    auto blossom = maximum_matching(g);
+    auto greedy =
+        matching_of(CsrGraph(g), MatchingPolicy::kGreedy, &greedy_rng);
+    auto blossom = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
     EXPECT_GE(blossom.size(), greedy.size());
   }
 }

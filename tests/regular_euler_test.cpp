@@ -26,12 +26,12 @@ void expect_valid_min_wavelength(const Graph& g, const EdgePartition& p,
 
 TEST(RegularEuler, RejectsIrregularGraph) {
   Graph g = star_graph(4);
-  EXPECT_THROW(regular_euler(g, 3), CheckError);
+  EXPECT_THROW(regular_euler(CsrGraph(g), 3), CheckError);
 }
 
 TEST(RegularEuler, EmptyAndZeroRegular) {
   Graph g(5);  // 0-regular
-  EdgePartition p = regular_euler(g, 3);
+  EdgePartition p = regular_euler(CsrGraph(g), 3);
   EXPECT_TRUE(p.parts.empty());
 }
 
@@ -40,7 +40,7 @@ TEST(RegularEuler, OneRegularIsOptimal) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   g.add_edge(4, 5);
-  EdgePartition p = regular_euler(g, 2);
+  EdgePartition p = regular_euler(CsrGraph(g), 2);
   expect_valid_min_wavelength(g, p, 2);
   EXPECT_EQ(sadm_cost(g, p), 6);  // 2 per demand; unavoidable
 }
@@ -49,7 +49,7 @@ TEST(RegularEuler, EvenRegularConnectedIsSingleTour) {
   Rng rng(1);
   Graph g = random_regular(20, 4, rng);
   RegularEulerTrace trace;
-  EdgePartition p = regular_euler(g, 5, {}, &trace);
+  EdgePartition p = regular_euler(CsrGraph(g), 5, {}, &trace);
   expect_valid_min_wavelength(g, p, 5);
   EXPECT_TRUE(trace.matching.empty());
   if (is_connected(g)) {
@@ -62,7 +62,7 @@ TEST(RegularEuler, EvenRegularConnectedIsSingleTour) {
 
 TEST(RegularEuler, CycleExactCost) {
   Graph g = cycle_graph(12);  // 2-regular
-  EdgePartition p = regular_euler(g, 6);
+  EdgePartition p = regular_euler(CsrGraph(g), 6);
   expect_valid_min_wavelength(g, p, 6);
   EXPECT_EQ(sadm_cost(g, p), 12 + 2);
 }
@@ -71,7 +71,7 @@ TEST(RegularEuler, OddRegularTraceInvariants) {
   Rng rng(2);
   Graph g = random_regular(36, 7, rng);
   RegularEulerTrace trace;
-  EdgePartition p = regular_euler(g, 8, {}, &trace);
+  EdgePartition p = regular_euler(CsrGraph(g), 8, {}, &trace);
   expect_valid_min_wavelength(g, p, 8);
   EXPECT_EQ(trace.r, 7);
   EXPECT_TRUE(is_matching(g, trace.matching));
@@ -88,7 +88,7 @@ TEST(RegularEuler, OddRegularTraceInvariants) {
 TEST(RegularEuler, PetersenGraph) {
   Graph g = petersen_graph();  // 3-regular, perfect matching exists
   RegularEulerTrace trace;
-  EdgePartition p = regular_euler(g, 4, {}, &trace);
+  EdgePartition p = regular_euler(CsrGraph(g), 4, {}, &trace);
   expect_valid_min_wavelength(g, p, 4);
   EXPECT_EQ(trace.matching.size(), 5u);
   // G-M is 2-regular: every component is even (all saturated).
@@ -98,7 +98,7 @@ TEST(RegularEuler, PetersenGraph) {
 TEST(RegularEuler, CompleteGraphOddDegree) {
   Graph g = complete_graph(8);  // 7-regular
   RegularEulerTrace trace;
-  EdgePartition p = regular_euler(g, 4, {}, &trace);
+  EdgePartition p = regular_euler(CsrGraph(g), 4, {}, &trace);
   expect_valid_min_wavelength(g, p, 4);
   EXPECT_LE(static_cast<long long>(trace.cover.size()),
             lemma9_cover_bound(8, 7));
@@ -112,7 +112,7 @@ TEST_P(RegularEulerGridP, Theorem10BoundsHold) {
   Rng rng(static_cast<std::uint64_t>(seed));
   Graph g = random_regular(36, static_cast<NodeId>(r), rng);
   RegularEulerTrace trace;
-  EdgePartition p = regular_euler(g, k, {}, &trace);
+  EdgePartition p = regular_euler(CsrGraph(g), k, {}, &trace);
   auto v = validate_partition(g, p);
   ASSERT_TRUE(v.ok) << v.reason;
   EXPECT_TRUE(uses_min_wavelengths(g, p));
@@ -141,7 +141,7 @@ TEST_P(RegularEulerMatchingPolicyP, AllMatchingPoliciesValid) {
   GroomingOptions options;
   options.matching_policy = GetParam();
   options.seed = 11;
-  EdgePartition p = regular_euler(g, 8, options);
+  EdgePartition p = regular_euler(CsrGraph(g), 8, options);
   expect_valid_min_wavelength(g, p, 8);
 }
 
@@ -160,7 +160,7 @@ TEST(RegularEuler, DisconnectedEvenRegular) {
     }
   }
   RegularEulerTrace trace;
-  EdgePartition p = regular_euler(g, 3, {}, &trace);
+  EdgePartition p = regular_euler(CsrGraph(g), 3, {}, &trace);
   expect_valid_min_wavelength(g, p, 3);
   EXPECT_EQ(trace.even_components, 2);
 }
@@ -178,7 +178,7 @@ TEST(RegularEuler, DisconnectedOddRegularWithOddComponents) {
       }
     }
   }
-  EdgePartition p = regular_euler(g, 4);
+  EdgePartition p = regular_euler(CsrGraph(g), 4);
   expect_valid_min_wavelength(g, p, 4);
 }
 
@@ -190,14 +190,26 @@ TEST(RegularEuler, WorksOnRegularMultigraph) {
       g.add_edge(v, static_cast<NodeId>((v + 1) % 4));
     }
   }
-  EdgePartition p = regular_euler(g, 3);
+  EdgePartition p = regular_euler(CsrGraph(g), 3);
   expect_valid_min_wavelength(g, p, 3);
+}
+
+// The labelled Euler decomposition of CsrGraph(g), as heap walks.
+std::vector<Walk> heap_walks(const Graph& g, const std::vector<char>& mask) {
+  MonotonicArena arena;
+  std::vector<Walk> walks;
+  for (const ArenaWalk& w : euler_decomposition(CsrGraph(g), mask, arena)) {
+    walks.push_back(Walk{{w.nodes.begin(), w.nodes.end()},
+                         {w.edges.begin(), w.edges.end()}});
+  }
+  return walks;
 }
 
 // Regular_Euler as it ran on the adjacency-list Graph before it moved onto
 // the CSR kernels: a working copy with virtual edges appended, labelled
-// components and degrees of G - M, the labelled Euler decomposition, and
-// heap skeletons.  The reference the CSR implementation must equal.
+// components and degrees of G - M, the labelled Euler decomposition cut at
+// the virtual edges, and heap skeletons chunked in canonical order.  The
+// reference the CSR implementation must equal.
 EdgePartition graph_regular_euler(const Graph& g, int k,
                                   const GroomingOptions& options,
                                   RegularEulerTrace& trace) {
@@ -211,7 +223,7 @@ EdgePartition graph_regular_euler(const Graph& g, int k,
   std::vector<EdgeId> matching;
   if (r % 2 == 0) {
     std::vector<char> mask(static_cast<std::size_t>(g.edge_count()), 1);
-    for (Walk& walk : euler_decomposition(g, mask)) {
+    for (Walk& walk : heap_walks(g, mask)) {
       cover.push_back(Skeleton::from_walk(std::move(walk)));
     }
     trace.even_components = static_cast<int>(cover.size());
@@ -222,11 +234,12 @@ EdgePartition graph_regular_euler(const Graph& g, int k,
     }
   } else {
     Rng rng(options.seed);
-    matching = find_matching(g, options.matching_policy, &rng);
+    matching = matching_of(CsrGraph(g), options.matching_policy, &rng);
     Graph working = g;
     std::vector<char> mask(static_cast<std::size_t>(g.edge_count()), 1);
     for (EdgeId e : matching) mask[static_cast<std::size_t>(e)] = 0;
-    const Components comps = connected_components_masked(working, mask);
+    const Components comps =
+        connected_components_masked(CsrGraph(working), mask);
     const std::vector<NodeId> degrees = masked_degrees(working, mask);
     std::vector<std::vector<NodeId>> unsaturated(
         static_cast<std::size_t>(comps.count));
@@ -268,8 +281,22 @@ EdgePartition graph_regular_euler(const Graph& g, int k,
         static_cast<std::size_t>(g.node_count()), kInvalidNode);
     std::vector<std::size_t> first_site_pos(
         static_cast<std::size_t>(g.node_count()), 0);
-    for (const Walk& walk : euler_decomposition(working, mask)) {
-      for (Walk& segment : split_walk_on_virtual(working, walk)) {
+    for (const Walk& walk : heap_walks(working, mask)) {
+      // Maximal real runs, split at the virtual edges.
+      std::vector<Walk> segments(1);
+      for (std::size_t i = 0; i < walk.edges.size(); ++i) {
+        const EdgeId e = walk.edges[i];
+        if (working.edge(e).is_virtual) {
+          if (!segments.back().edges.empty()) segments.emplace_back();
+          continue;
+        }
+        Walk& current = segments.back();
+        if (current.nodes.empty()) current.nodes.push_back(walk.nodes[i]);
+        current.nodes.push_back(walk.nodes[i + 1]);
+        current.edges.push_back(e);
+      }
+      if (segments.back().edges.empty()) segments.pop_back();
+      for (Walk& segment : segments) {
         for (std::size_t pos = 0; pos < segment.nodes.size(); ++pos) {
           auto v = static_cast<std::size_t>(segment.nodes[pos]);
           if (first_site_skeleton[v] != kInvalidNode) continue;
@@ -292,7 +319,14 @@ EdgePartition graph_regular_euler(const Graph& g, int k,
   }
   trace.matching = matching;
   trace.cover = cover;
-  return partition_from_cover(g, cover, k);
+  std::vector<EdgeId> order;
+  for (const Skeleton& skeleton : cover) {
+    for (EdgeId e : skeleton.canonical_order()) order.push_back(e);
+  }
+  EdgePartition partition;
+  partition.k = k;
+  partition.parts = FlatParts::chunks(std::move(order), k);
+  return partition;
 }
 
 TEST(RegularEuler, CsrRunEqualsTheGraphReference) {
@@ -344,14 +378,15 @@ TEST(RegularEuler, CsrRunEqualsTheGraphReference) {
       RegularEulerTrace expected;
       const EdgePartition want =
           graph_regular_euler(c.graph, k, options, expected);
-      RegularEulerTrace graph_trace;
-      EXPECT_EQ(regular_euler(c.graph, k, options, &graph_trace).parts,
-                want.parts);
+      RegularEulerTrace fresh_trace;  // no workspace
+      EXPECT_EQ(
+          regular_euler(CsrGraph(c.graph), k, options, &fresh_trace).parts,
+          want.parts);
       RegularEulerTrace csr_trace;
       const CsrGraph csr(c.graph);
       EXPECT_EQ(regular_euler(csr, k, options, &csr_trace, &ws).parts,
                 want.parts);
-      for (const RegularEulerTrace* t : {&graph_trace, &csr_trace}) {
+      for (const RegularEulerTrace* t : {&fresh_trace, &csr_trace}) {
         EXPECT_EQ(t->r, expected.r);
         EXPECT_EQ(t->matching, expected.matching);
         EXPECT_EQ(t->even_components, expected.even_components);

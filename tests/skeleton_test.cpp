@@ -9,6 +9,26 @@
 namespace tgroom {
 namespace {
 
+/// Proposition 2 on a heap cover: the skeletons copied onto an arena, then
+/// partition_from_cover on a CsrGraph(g) snapshot.
+EdgePartition transform(const Graph& g, const SkeletonCover& cover, int k) {
+  MonotonicArena arena;
+  ArenaSkeletonCover arena_cover{ArenaAllocator<ArenaSkeleton>(&arena)};
+  for (const Skeleton& skeleton : cover) {
+    ArenaWalk walk(&arena);
+    walk.nodes.assign(skeleton.walk_nodes().begin(),
+                      skeleton.walk_nodes().end());
+    walk.edges.assign(skeleton.walk_edges().begin(),
+                      skeleton.walk_edges().end());
+    ArenaSkeleton copy = ArenaSkeleton::from_walk(std::move(walk), &arena);
+    for (std::size_t pos = 0; pos < skeleton.branches_at().size(); ++pos) {
+      for (EdgeId e : skeleton.branches_at()[pos]) copy.add_branch(pos, e);
+    }
+    arena_cover.push_back(std::move(copy));
+  }
+  return partition_from_cover(CsrGraph(g), arena_cover, k, arena);
+}
+
 /// A caterpillar skeleton on the path 0-1-2-3 with legs.
 struct Fixture {
   Graph g;
@@ -110,7 +130,7 @@ TEST(ArenaSkeleton, FlatBranchesKeepTheCanonicalOrder) {
   // Random covers whose branches attach in scrambled position order:
   // every arena skeleton's counting-sort order must equal the nested
   // heap skeleton built by the same calls, and its own to_skeleton()
-  // copy; the two partition_from_cover overloads must agree.
+  // copy; partition_from_cover must chunk the heap canonical orders.
   Rng rng(77);
   for (int trial = 0; trial < 50; ++trial) {
     MonotonicArena arena;
@@ -153,8 +173,12 @@ TEST(ArenaSkeleton, FlatBranchesKeepTheCanonicalOrder) {
     for (EdgeId e = 0; e < next_edge; ++e) g.add_edge(0, 1);
     const CsrGraph csr(g);
     const int k = static_cast<int>(rng.uniform_int(1, 9));
+    std::vector<EdgeId> heap_order;
+    for (const Skeleton& skeleton : heap_cover) {
+      for (EdgeId e : skeleton.canonical_order()) heap_order.push_back(e);
+    }
     EXPECT_EQ(partition_from_cover(csr, cover, k, arena).parts,
-              partition_from_cover(g, heap_cover, k).parts);
+              FlatParts::chunks(std::move(heap_order), k));
   }
 }
 
@@ -224,7 +248,7 @@ TEST(Proposition2, TransformProducesMinWavelengthPartition) {
   Fixture f;
   SkeletonCover cover{f.skeleton};
   for (int k = 1; k <= 8; ++k) {
-    EdgePartition p = partition_from_cover(f.g, cover, k);
+    EdgePartition p = transform(f.g, cover, k);
     EXPECT_TRUE(validate_partition(f.g, p).ok) << "k=" << k;
     EXPECT_TRUE(uses_min_wavelengths(f.g, p)) << "k=" << k;
     // All parts except possibly the last have exactly k edges.
@@ -253,7 +277,7 @@ TEST(Proposition2, MultiSkeletonCoverRespectsBound) {
   EXPECT_TRUE(validate_cover(g, cover));
   EXPECT_TRUE(cover_spans_all_edges(g, cover));
   for (int k = 1; k <= 6; ++k) {
-    EdgePartition p = partition_from_cover(g, cover, k);
+    EdgePartition p = transform(g, cover, k);
     EXPECT_TRUE(validate_partition(g, p).ok);
     EXPECT_LE(sadm_cost(g, p),
               prop2_cost_bound(g.real_edge_count(), k, cover.size()));
@@ -265,7 +289,7 @@ TEST(Proposition2, RejectsVirtualEdgesInCover) {
   g.add_edge(0, 1);
   EdgeId v = g.add_edge(1, 2, /*is_virtual=*/true);
   Skeleton s = Skeleton::from_walk(Walk{{1, 2}, {v}});
-  EXPECT_THROW(partition_from_cover(g, {s}, 2), CheckError);
+  EXPECT_THROW(transform(g, {s}, 2), CheckError);
 }
 
 TEST(CoverValidation, DetectsOverlap) {

@@ -23,14 +23,14 @@ void expect_valid_min_wavelength(const Graph& g, const EdgePartition& p,
 
 TEST(SpanTEuler, EmptyGraph) {
   Graph g(5);
-  EdgePartition p = spant_euler(g, 4);
+  EdgePartition p = spant_euler(CsrGraph(g), 4);
   EXPECT_TRUE(p.parts.empty());
 }
 
 TEST(SpanTEuler, SingleEdge) {
   Graph g(2);
   g.add_edge(0, 1);
-  EdgePartition p = spant_euler(g, 4);
+  EdgePartition p = spant_euler(CsrGraph(g), 4);
   expect_valid_min_wavelength(g, p, 4);
   EXPECT_EQ(sadm_cost(g, p), 2);
 }
@@ -40,14 +40,14 @@ TEST(SpanTEuler, TreeInput) {
   // skeletons.
   Graph g = caterpillar_graph(5, 2);
   for (int k : {2, 3, 5}) {
-    EdgePartition p = spant_euler(g, k);
+    EdgePartition p = spant_euler(CsrGraph(g), k);
     expect_valid_min_wavelength(g, p, k);
   }
 }
 
 TEST(SpanTEuler, StarGetsOptimalCost) {
   Graph g = star_graph(9);  // 8 edges, all share the hub
-  EdgePartition p = spant_euler(g, 4);
+  EdgePartition p = spant_euler(CsrGraph(g), 4);
   expect_valid_min_wavelength(g, p, 4);
   // Each part: 4 edges through the hub = 5 nodes; 2 parts -> 10 SADMs.
   EXPECT_EQ(sadm_cost(g, p), 10);
@@ -56,7 +56,7 @@ TEST(SpanTEuler, StarGetsOptimalCost) {
 TEST(SpanTEuler, CycleIsOneBackbone) {
   Graph g = cycle_graph(12);
   SpanTEulerTrace trace;
-  EdgePartition p = spant_euler(g, 4, {}, &trace);
+  EdgePartition p = spant_euler(CsrGraph(g), 4, {}, &trace);
   expect_valid_min_wavelength(g, p, 4);
   EXPECT_EQ(sadm_cost(g, p), 12 + 3);  // three segments of 4 edges, 5 nodes
 }
@@ -65,7 +65,7 @@ TEST(SpanTEuler, TraceInvariants) {
   Rng rng(5);
   Graph g = random_gnm(20, 60, rng);
   SpanTEulerTrace trace;
-  EdgePartition p = spant_euler(g, 8, {}, &trace);
+  EdgePartition p = spant_euler(CsrGraph(g), 8, {}, &trace);
   auto v = validate_partition(g, p);
   ASSERT_TRUE(v.ok) << v.reason;
 
@@ -99,7 +99,7 @@ TEST_P(SpanTEulerBoundP, Theorem5BoundHolds) {
   Rng rng(static_cast<std::uint64_t>(seed));
   Graph g = random_dense_ratio(36, dense, rng);
   SpanTEulerTrace trace;
-  EdgePartition p = spant_euler(g, k, {}, &trace);
+  EdgePartition p = spant_euler(CsrGraph(g), k, {}, &trace);
   auto v = validate_partition(g, p);
   ASSERT_TRUE(v.ok) << v.reason;
   EXPECT_TRUE(uses_min_wavelengths(g, p));
@@ -126,7 +126,7 @@ TEST_P(SpanTEulerTreePolicyP, AllTreePoliciesProduceValidPartitions) {
   GroomingOptions options;
   options.tree_policy = GetParam();
   options.seed = 3;
-  EdgePartition p = spant_euler(g, 8, options);
+  EdgePartition p = spant_euler(CsrGraph(g), 8, options);
   expect_valid_min_wavelength(g, p, 8);
 }
 
@@ -143,7 +143,7 @@ TEST(SpanTEuler, DisconnectedInput) {
   g.add_edge(2, 0);
   g.add_edge(4, 5);
   g.add_edge(5, 6);
-  EdgePartition p = spant_euler(g, 2);
+  EdgePartition p = spant_euler(CsrGraph(g), 2);
   expect_valid_min_wavelength(g, p, 2);
 }
 
@@ -151,13 +151,13 @@ TEST(SpanTEuler, RejectsVirtualEdgesInInput) {
   Graph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2, /*is_virtual=*/true);
-  EXPECT_THROW(spant_euler(g, 2), CheckError);
+  EXPECT_THROW(spant_euler(CsrGraph(g), 2), CheckError);
 }
 
 TEST(SpanTEuler, RejectsBadK) {
   Graph g(2);
   g.add_edge(0, 1);
-  EXPECT_THROW(spant_euler(g, 0), CheckError);
+  EXPECT_THROW(spant_euler(CsrGraph(g), 0), CheckError);
 }
 
 TEST(SpanTEuler, SmartBranchesStaysValid) {
@@ -166,7 +166,7 @@ TEST(SpanTEuler, SmartBranchesStaysValid) {
     Graph g = random_gnm(24, 60, rng);
     GroomingOptions smart;
     smart.smart_branches = true;
-    EdgePartition p = spant_euler(g, 8, smart);
+    EdgePartition p = spant_euler(CsrGraph(g), 8, smart);
     expect_valid_min_wavelength(g, p, 8);
   }
 }
@@ -181,21 +181,21 @@ TEST(SpanTEuler, SmartBranchesHelpsOnDoubleStar) {
   GroomingOptions plain;
   GroomingOptions smart;
   smart.smart_branches = true;
-  long long base = sadm_cost(g, spant_euler(g, 5, plain));
-  long long clustered = sadm_cost(g, spant_euler(g, 5, smart));
+  long long base = sadm_cost(g, spant_euler(CsrGraph(g), 5, plain));
+  long long clustered = sadm_cost(g, spant_euler(CsrGraph(g), 5, smart));
   EXPECT_LE(clustered, base);
 }
 
 TEST(SpanTEuler, KOneDegenerate) {
   Graph g = complete_graph(5);
-  EdgePartition p = spant_euler(g, 1);
+  EdgePartition p = spant_euler(CsrGraph(g), 1);
   expect_valid_min_wavelength(g, p, 1);
   EXPECT_EQ(sadm_cost(g, p), 2 * g.real_edge_count());
 }
 
 TEST(SpanTEuler, KLargerThanM) {
   Graph g = complete_graph(5);  // m=10, one wavelength when k=16
-  EdgePartition p = spant_euler(g, 16);
+  EdgePartition p = spant_euler(CsrGraph(g), 16);
   expect_valid_min_wavelength(g, p, 16);
   EXPECT_EQ(p.parts.size(), 1u);
   EXPECT_EQ(sadm_cost(g, p), 5);

@@ -10,6 +10,7 @@
 #include "gen/random_graph.hpp"
 #include "gen/regular_graph.hpp"
 #include "graph/properties.hpp"
+#include "test_graphs.hpp"
 #include "util/stopwatch.hpp"
 
 namespace tgroom {
@@ -99,19 +100,16 @@ TEST(Stress, DeepDfsDoesNotOverflowStack) {
   // Path graphs force maximal DFS depth in tree construction; the
   // implementation is iterative, so 50k nodes must be fine.
   Graph g = path_graph(50000);
-  auto tree = spanning_forest(g, TreePolicy::kDfs);
+  auto tree = forest_of(CsrGraph(g), TreePolicy::kDfs);
   EXPECT_TRUE(is_spanning_forest(g, tree));
 }
 
 TEST(Stress, BlossomOnLargeBipartite) {
   Graph g = complete_bipartite(150, 150);
   Stopwatch sw;
-  auto mates = maximum_matching_mates(g);
-  int matched = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    matched += (mates[static_cast<std::size_t>(v)] != kInvalidNode);
-  }
-  EXPECT_EQ(matched, 300);
+  const auto matching = matching_of(CsrGraph(g), MatchingPolicy::kBlossom);
+  EXPECT_TRUE(is_matching(g, matching));
+  EXPECT_EQ(matching.size(), 150u);
   EXPECT_LT(sw.elapsed_seconds(), 10.0);
 }
 

@@ -1,9 +1,14 @@
-// Graph constructions shared by the grooming tests.
+// Graph constructions shared by the grooming tests, plus value-returning
+// forms of the out-param kernels.
 #pragma once
 
 #include <numeric>
 #include <vector>
 
+#include "algo/matching.hpp"
+#include "algo/rooted_tree.hpp"
+#include "algo/spanning_tree.hpp"
+#include "graph/csr_graph.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -48,6 +53,31 @@ inline Graph no_perfect_matching_regular(NodeId r, Rng& rng) {
     g.add_edge(0, base);
   }
   return relabelled(g, rng);
+}
+
+/// spanning_forest's tree edges, with heap scratch.
+inline std::vector<EdgeId> forest_of(const CsrGraph& g, TreePolicy policy,
+                                     Rng* rng = nullptr) {
+  std::vector<EdgeId> tree;
+  spanning_forest(g, policy, rng, tree, nullptr);
+  return tree;
+}
+
+/// root_forest's rooting of `tree`, with heap scratch.
+inline RootedForest rooted(const CsrGraph& g,
+                           const std::vector<EdgeId>& tree) {
+  RootedForest forest;
+  root_forest(g, tree, forest, nullptr);
+  return forest;
+}
+
+/// find_matching's matching, with heap scratch.
+inline std::vector<EdgeId> matching_of(const CsrGraph& g,
+                                       MatchingPolicy policy,
+                                       Rng* rng = nullptr) {
+  std::vector<EdgeId> matching;
+  find_matching(g, policy, rng, matching, nullptr);
+  return matching;
 }
 
 }  // namespace tgroom
