@@ -24,11 +24,14 @@ void run_on_random(benchmark::State& state, AlgorithmId id) {
   long long m = std::min<long long>(6LL * n,
                                     static_cast<long long>(n) * (n - 1) / 2);
   Graph g = random_gnm(n, m, rng);
-  // Workspace outlives the loop: measures the steady-state (reused-buffer)
-  // hot path, matching how BatchGroomer drives the algorithms.
+  // Workspace and snapshot outlive the loop: measures the steady-state
+  // (reused-buffer) hot path, matching how BatchGroomer drives the
+  // algorithms.
   GroomingWorkspace ws;
+  CsrGraph snapshot;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_algorithm(id, g, 16, {}, &ws));
+    snapshot.rebuild(g);
+    benchmark::DoNotOptimize(run_algorithm(id, snapshot, 16, {}, &ws));
   }
   state.SetComplexityN(static_cast<benchmark::IterationCount>(m));
 }
@@ -38,8 +41,10 @@ void run_on_regular(benchmark::State& state, AlgorithmId id, NodeId r) {
   Rng rng(static_cast<std::uint64_t>(n) * 3 + 1);
   Graph g = random_regular(n, r, rng);
   GroomingWorkspace ws;
+  CsrGraph snapshot;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_algorithm(id, g, 16, {}, &ws));
+    snapshot.rebuild(g);
+    benchmark::DoNotOptimize(run_algorithm(id, snapshot, 16, {}, &ws));
   }
   state.SetComplexityN(
       static_cast<benchmark::IterationCount>(g.edge_count()));

@@ -18,13 +18,17 @@ std::vector<BatchCellResult> BatchGroomer::run(
         // calls; reset() rewinds it without dropping capacity.  Each chunk
         // runs on exactly one thread, so no sharing within a run; output
         // is workspace-independent by the GroomingWorkspace contract.
+        // The cell's CSR snapshot is kept the same way; it is not the
+        // workspace's own csr, which Brauner and Regular_Euler grow.
         thread_local GroomingWorkspace workspace;
+        thread_local CsrGraph snapshot;
         workspace.reset();
         for (std::size_t i = begin; i < end; ++i) {
           const BatchCell& cell = cells[i];
           TGROOM_CHECK_MSG(cell.graph != nullptr, "batch cell has no graph");
+          snapshot.rebuild(*cell.graph);
           EdgePartition partition = run_algorithm(
-              cell.algorithm, *cell.graph, cell.k, cell.options, &workspace);
+              cell.algorithm, snapshot, cell.k, cell.options, &workspace);
           if (config_.validate) {
             PartitionValidation valid =
                 validate_partition(*cell.graph, partition);
@@ -34,10 +38,9 @@ std::vector<BatchCellResult> BatchGroomer::run(
                                  valid.reason);
           }
           BatchCellResult& result = results[i];
-          result.sadms = sadm_cost(*cell.graph, partition);
+          result.sadms = sadm_cost(snapshot, partition);
           result.wavelengths = partition.wavelength_count();
-          result.lower_bound =
-              partition_cost_lower_bound(*cell.graph, cell.k);
+          result.lower_bound = partition_cost_lower_bound(snapshot, cell.k);
           if (config_.keep_partitions) {
             result.partition = std::move(partition);
           }
